@@ -95,7 +95,11 @@ Aes128::Block Pmac::tag(std::span<const std::uint8_t> message) const {
   } else {
     // Partial (or empty) final block: pad with 10*.
     scratch.fill(0);
-    std::memcpy(scratch.data(), message.data() + 16 * full_blocks, rem);
+    // An empty message may have a null data(); memcpy from null is UB even
+    // for zero bytes.
+    if (rem != 0) {
+      std::memcpy(scratch.data(), message.data() + 16 * full_blocks, rem);
+    }
     scratch[rem] = 0x80;
     xor_into(sigma, scratch);
   }
