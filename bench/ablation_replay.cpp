@@ -62,7 +62,9 @@ int main() {
     }
   });
   scenario.run();
-  const auto rejected_before = scenario.ca(0).counters().auth_rejected;
+  obs::Registry& reg = scenario.fabric().simulator().obs();
+  const std::int64_t rejected_before =
+      reg.snapshot().at("ca.0.retired.auth_rejected");
   for (const ib::Packet& pkt : captured) {
     ib::Packet replay = pkt;
     replay.meta = ib::PacketMeta{};
@@ -70,8 +72,8 @@ int main() {
     scenario.ca(5).inject_raw(std::move(replay));
   }
   scenario.fabric().simulator().run();
-  const auto rejected_after = scenario.ca(0).counters().auth_rejected;
-  const auto blocked = rejected_after - rejected_before;
+  const auto blocked = static_cast<std::size_t>(
+      reg.snapshot().at("ca.0.retired.auth_rejected") - rejected_before);
 
   std::printf("\nReplayed %zu captured packets; %llu blocked by the window\n",
               captured.size(), static_cast<unsigned long long>(blocked));

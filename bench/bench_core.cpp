@@ -119,17 +119,11 @@ void bench_packet(bench::BenchReport& report, bool quick) {
 
   {
     std::uint32_t sink = 0;
-#ifdef IBSEC_PACKET_HAS_SCRATCH_API
     std::vector<std::uint8_t> scratch;
-#endif
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-#ifdef IBSEC_PACKET_HAS_SCRATCH_API
       pkt.serialize_into(scratch);
       sink ^= scratch.back();
-#else
-      sink ^= pkt.serialize().back();
-#endif
     }
     const double elapsed = seconds_since(start);
     report.set("packet.serialize_mb_per_sec",

@@ -127,11 +127,11 @@ int main() {
   cas[1]->inject_raw(std::move(forged));
   fabric.simulator().run();
   std::printf("[node 6] RDMA writes applied: %llu (unchanged), "
-              "rejected unauthenticated: %llu, memory still \"%c%c%c%c\"\n",
+              "rejected unauthenticated: %lld, memory still \"%c%c%c%c\"\n",
               static_cast<unsigned long long>(
                   cas[6]->counters().rdma_writes_applied),
-              static_cast<unsigned long long>(
-                  cas[6]->counters().auth_unauthenticated),
+              static_cast<long long>(fabric.simulator().obs().snapshot().at(
+                  "ca.6.retired.auth_missing")),
               (*cas[6]->memory_of(0xBEEF))[0], (*cas[6]->memory_of(0xBEEF))[1],
               (*cas[6]->memory_of(0xBEEF))[2], (*cas[6]->memory_of(0xBEEF))[3]);
   return 0;

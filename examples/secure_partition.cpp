@@ -83,10 +83,10 @@ int main() {
   forged.finalize();  // attacker can only produce a plain ICRC
   cas[4]->inject_raw(std::move(forged));
   fabric.simulator().run();
-  std::printf("[node 7] rejected unauthenticated packets: %llu "
+  std::printf("[node 7] rejected unauthenticated packets: %lld "
               "(delivered stays %d)\n",
-              static_cast<unsigned long long>(
-                  cas[7]->counters().auth_unauthenticated),
+              static_cast<long long>(fabric.simulator().obs().snapshot().at(
+                  "ca.7.retired.auth_missing")),
               delivered);
 
   // On-demand service: the administrator turns authentication off for the

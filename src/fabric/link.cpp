@@ -163,7 +163,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // line is not busied — loop for the next queued packet.
     if (faults_.down_at(sim_.now())) {
       QueuedPacket entry = pop_front(vl);
-      ++packets_flap_dropped_;
       obs_flap_dropped_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,
@@ -221,8 +220,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // propagation; the line frees after serialization alone.
     auto line_free = [this, bytes, tx_time] {
       line_busy_ = false;
-      ++packets_sent_;
-      bytes_sent_ += bytes;
       busy_time_ += tx_time;
       obs_packets_->inc();
       obs_bytes_->inc(bytes);
@@ -237,7 +234,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // would-be delivery plus the reverse propagation — otherwise every lost
     // packet would leak credits and eventually wedge the VL.
     if (faults_.drop_rate > 0.0 && fault_rng_.bernoulli(faults_.drop_rate)) {
-      ++packets_dropped_;
       obs_dropped_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,
@@ -256,7 +252,6 @@ IBSEC_HOT void OutputPort::try_dispatch() {
     // VCRC is left stale, so the next hop's link-layer check catches it.
     if (faults_.corruption_rate > 0.0 &&
         fault_rng_.bernoulli(faults_.corruption_rate)) {
-      ++packets_corrupted_;
       obs_corrupted_->inc();
       if (sim_.trace().enabled() && entry.pkt.meta.trace_id != 0) {
         sim_.trace().instant(entry.pkt.meta.trace_id,

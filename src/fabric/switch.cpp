@@ -96,7 +96,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
 
   // A dead switch (FaultCampaign) eats everything before any processing.
   if (dead_) {
-    ++stats_.dropped_dead;
     obs_.drop_dead->inc();
     trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
                   "dead");
@@ -106,7 +105,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
 
   // Link-level integrity: a corrupted packet is dropped at the hop.
   if (!pkt.vcrc_valid()) {
-    ++stats_.dropped_vcrc;
     obs_.drop_vcrc->inc();
     trace.instant(trace_id, obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
                   "vcrc");
@@ -122,7 +120,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
         ingress_limiters_[static_cast<std::size_t>(in_port)].get();
     if (limiter != nullptr &&
         !limiter->consume(pkt.wire_size(), sim_.now())) {
-      ++stats_.dropped_rate_limited;
       obs_.drop_rate_limited->inc();
       if (sim_.audit().enabled()) {
         obs::AuditEvent ev = audit_event(pkt, in_port);
@@ -161,7 +158,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     InputPort& in = inputs_.at(static_cast<std::size_t>(in_port));
     const ib::VirtualLane pvl = slot->lrh.vl;
     if (!allow) {
-      ++stats_.dropped_filter;
       obs_.drop_pkey->inc();
       if (sim_.audit().enabled()) {
         obs::AuditEvent ev = audit_event(*slot, in_port);
@@ -178,7 +174,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
     }
     const int out_port = routes_.at(slot->lrh.dlid);
     if (out_port < 0 || out_port >= num_ports() || out_port == in_port) {
-      ++stats_.dropped_no_route;
       obs_.drop_no_route->inc();
       sim_.trace().instant(sim_.trace().enabled() ? slot->meta.trace_id : 0,
                            obs::TraceEventType::kSwitchDrop, id_, sim_.now(),
@@ -187,7 +182,6 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       pool_.release(slot);
       return;
     }
-    ++stats_.forwarded;
     obs_.forwarded->inc();
     slot->refresh_vcrc();
 

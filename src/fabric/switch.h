@@ -51,19 +51,10 @@ class Switch final : public Device {
   int id() const { return id_; }
   int num_ports() const { return static_cast<int>(outputs_.size()); }
 
-  // --- statistics -------------------------------------------------------------
-  struct Stats {
-    std::uint64_t forwarded = 0;
-    std::uint64_t dropped_filter = 0;
-    std::uint64_t dropped_no_route = 0;
-    std::uint64_t dropped_vcrc = 0;
-    std::uint64_t dropped_rate_limited = 0;
-    std::uint64_t dropped_dead = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
+ private:
   /// Registry handles under "switch.<id>." — the drop-cause taxonomy the
-  /// packet-conservation invariant sums over.
+  /// packet-conservation invariant sums over, and the only record of the
+  /// switch's packet counts.
   struct ObsHandles {
     obs::Counter* forwarded = nullptr;
     obs::Counter* drop_pkey = nullptr;
@@ -73,8 +64,6 @@ class Switch final : public Device {
     obs::Counter* drop_dead = nullptr;
   };
 
- private:
-  void process(ib::Packet&& pkt, int in_port);
   /// Common audit-event skeleton for a packet judged at this switch: actor =
   /// SLID, victim = DLID/destination QP, `port` = the arrival port. Callers
   /// fill `verdict`/`a0` and emit; sites guard on audit().enabled().
@@ -93,7 +82,6 @@ class Switch final : public Device {
   // only when config_.ingress_rate_limit_fraction > 0.
   std::vector<std::unique_ptr<TokenBucket>> ingress_limiters_;
   bool dead_ = false;
-  Stats stats_;
   ObsHandles obs_;
 };
 

@@ -137,18 +137,6 @@ void Packet::serialize_into(std::vector<std::uint8_t>& out) const {
   out.push_back(static_cast<std::uint8_t>(vcrc));
 }
 
-std::vector<std::uint8_t> Packet::icrc_covered_bytes() const {
-  std::vector<std::uint8_t> out;
-  icrc_covered_into(out);
-  return out;
-}
-
-std::vector<std::uint8_t> Packet::vcrc_covered_bytes() const {
-  std::vector<std::uint8_t> out;
-  vcrc_covered_into(out);
-  return out;
-}
-
 std::uint32_t Packet::compute_icrc() const {
   crypto::Crc32 crc;
   stream_body(*this, /*masked=*/true,
@@ -182,12 +170,6 @@ void Packet::finalize() {
   set_lengths();
   icrc = compute_icrc();
   vcrc = compute_vcrc();
-}
-
-std::vector<std::uint8_t> Packet::serialize() const {
-  std::vector<std::uint8_t> out;
-  serialize_into(out);
-  return out;
 }
 
 std::optional<Packet> Packet::parse(std::span<const std::uint8_t> wire) {

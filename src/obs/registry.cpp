@@ -134,7 +134,6 @@ std::optional<Snapshot> Snapshot::from_json(std::string_view json) {
 // --- Registry ----------------------------------------------------------------
 
 Registry::Metric* Registry::resolve(const std::string& name, Kind kind) {
-  if (!enabled_) return nullptr;
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     it = metrics_.emplace(name, std::make_unique<Metric>(kind)).first;

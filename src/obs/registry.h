@@ -14,9 +14,9 @@
 // worker count, or sweep ordering — the property the determinism
 // regression tests pin down.
 //
-// Disabling a registry (set_enabled(false) *before* components are built)
-// hands out handles to private sink metrics: recording degenerates to one
-// dead store and the snapshot stays empty.
+// A registry cannot be switched off: a registered counter is often the only
+// record of its event (component accessors such as Link::packets_sent()
+// read the handle), so a disabled registry would silently zero them.
 //
 // Thread-safety: a Registry and every handle it hands out are deliberately
 // NOT thread-safe — no atomics, no locks, by design: metrics record on the
@@ -123,11 +123,6 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Disable *before* components resolve handles: subsequent resolutions
-  /// return sink metrics that record nowhere and never export.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   /// Resolve-or-create by name. Resolving an existing name with the same
   /// kind returns the same object; with a *different* kind it returns a
   /// sink (the original keeps its data) and the mismatch is exported as
@@ -156,15 +151,13 @@ class Registry {
     std::unique_ptr<Histogram> hist;
   };
 
-  /// nullptr when the name exists with a different kind (or disabled).
+  /// nullptr when the name exists with a different kind.
   Metric* resolve(const std::string& name, Kind kind);
 
-  bool enabled_ = true;
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
   std::uint64_t kind_collisions_ = 0;
 
-  // Sinks absorb records from disabled registries and kind collisions;
-  // they are never exported.
+  // Sinks absorb records from kind collisions; they are never exported.
   Counter sink_counter_;
   Gauge sink_gauge_;
   TimeAccumulator sink_time_;

@@ -154,7 +154,9 @@ obs::AuditEvent ChannelAdapter::audit_event(const ib::Packet& pkt) const {
   return ev;
 }
 
-void ChannelAdapter::trace_retire(const ib::Packet& pkt, const char* cause) {
+void ChannelAdapter::retire(const ib::Packet& pkt, obs::Counter* counter,
+                            const char* cause) {
+  counter->inc();
   sim::Simulator& sim = fabric_.simulator();
   if (!sim.trace().enabled() || pkt.meta.trace_id == 0) return;
   sim.trace().instant(pkt.meta.trace_id,
@@ -195,7 +197,6 @@ bool ChannelAdapter::post_send(ib::Qpn local_qp,
   }
   pkt.payload = std::move(payload);
 
-  ++qp->counters.sent;
   if (qp->type == ServiceType::kReliableConnection) {
     rc_submit(*qp, std::move(pkt));
   } else {
@@ -230,7 +231,6 @@ bool ChannelAdapter::post_message(ib::Qpn local_qp,
     const std::size_t len = std::min(mtu, message.size() - offset);
     pkt.payload.assign(message.begin() + static_cast<long>(offset),
                        message.begin() + static_cast<long>(offset + len));
-    ++qp->counters.sent;
     rc_submit(*qp, std::move(pkt));
   }
   return true;
@@ -258,7 +258,6 @@ bool ChannelAdapter::post_rdma_write(ib::Qpn local_qp, std::uint64_t remote_va,
                       static_cast<std::uint32_t>(payload.size())};
   pkt.payload = std::move(payload);
 
-  ++qp->counters.sent;
   rc_submit(*qp, std::move(pkt));
   return true;
 }
@@ -281,7 +280,6 @@ bool ChannelAdapter::post_rdma_read(ib::Qpn local_qp, std::uint64_t remote_va,
   pkt.reth = ib::Reth{remote_va, rkey, length};
 
   outstanding_reads_[{local_qp, pkt.bth.psn}] = {remote_va, length};
-  ++qp->counters.sent;
   rc_submit(*qp, std::move(pkt));
   return true;
 }
@@ -335,15 +333,12 @@ void ChannelAdapter::on_packet(ib::Packet&& pkt) {
   // End-node link-layer integrity: corruption on the final hop (the
   // switch->HCA link) reaches us unchecked by any switch.
   if (!pkt.vcrc_valid()) {
-    ++counters_.vcrc_errors;
-    retire_.vcrc->inc();
-    trace_retire(pkt, "vcrc");
+    retire(pkt, retire_.vcrc, "vcrc");
     return;
   }
   if (pkt.lrh.vl == ib::kManagementVl &&
       pkt.bth.dest_qp == ib::kQp0SubnetManagement) {
-    retire_.mad->inc();
-    trace_retire(pkt, "mad");
+    retire(pkt, retire_.mad, "mad");
     handle_mad_packet(pkt);
     return;
   }
@@ -384,7 +379,6 @@ bool ChannelAdapter::handle_port_reconfigure(const Mad& mad) {
 void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   // 1. Partition enforcement at the end node (always present in IBA).
   if (!partition_table_.contains(pkt.bth.pkey)) {
-    ++counters_.pkey_violations;
     if (sm_node_ >= 0) {
       Mad trap;
       trap.type = MadType::kTrapPKeyViolation;
@@ -396,14 +390,13 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       ++counters_.traps_sent;
       send_mad(sm_node_, trap);
     }
-    retire_.pkey_violation->inc();
     if (fabric_.simulator().audit().enabled()) {
       obs::AuditEvent ev = audit_event(pkt);
       ev.verdict = "rejected";
       ev.a0 = static_cast<std::int64_t>(pkt.bth.pkey);
       fabric_.simulator().audit().emit("pkey_reject", ev);
     }
-    trace_retire(pkt, "pkey_violation");
+    retire(pkt, retire_.pkey_violation, "pkey_violation");
     return;
   }
 
@@ -425,26 +418,20 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
       case AuthVerdict::kAccept:
         break;
       case AuthVerdict::kNotAuthenticated:
-        ++counters_.auth_unauthenticated;
-        retire_.auth_missing->inc();
         audit_mac_fail("unauthenticated");
-        trace_retire(pkt, "auth_missing");
+        retire(pkt, retire_.auth_missing, "auth_missing");
         return;
       case AuthVerdict::kRejectBadTag:
       case AuthVerdict::kRejectNoKey:
       case AuthVerdict::kRejectReplay:
-        ++counters_.auth_rejected;
-        retire_.auth_rejected->inc();
         audit_mac_fail(verdict == AuthVerdict::kRejectBadTag  ? "bad_tag"
                        : verdict == AuthVerdict::kRejectNoKey ? "no_key"
                                                               : "replay");
-        trace_retire(pkt, "auth_rejected");
+        retire(pkt, retire_.auth_rejected, "auth_rejected");
         return;
     }
   } else if (pkt.bth.resv8a == 0 && !pkt.icrc_valid()) {
-    ++counters_.icrc_errors;
-    retire_.icrc_error->inc();
-    trace_retire(pkt, "icrc_error");
+    retire(pkt, retire_.icrc_error, "icrc_error");
     return;
   }
 
@@ -464,9 +451,7 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         qp->rc_rx.nak_armed = false;
         rc_qp = qp;
       } else if (psn_lt(pkt.bth.psn, qp->expected_psn)) {
-        ++counters_.rc_duplicates;
-        retire_.rc_duplicate->inc();
-        trace_retire(pkt, "rc_duplicate");
+        retire(pkt, retire_.rc_duplicate, "rc_duplicate");
         if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadRequest) {
           // The earlier response was lost: rebuild and resend it.
           serve_rdma_read(pkt, /*duplicate=*/true);
@@ -475,9 +460,7 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
         }
         return;
       } else {
-        ++counters_.rc_out_of_order;
-        retire_.rc_out_of_order->inc();
-        trace_retire(pkt, "rc_out_of_order");
+        retire(pkt, retire_.rc_out_of_order, "rc_out_of_order");
         send_rc_nak(*qp);
         return;
       }
@@ -500,8 +483,7 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
     return;
   }
   if (pkt.bth.opcode == ib::OpCode::kRcRdmaReadResponse) {
-    retire_.rdma_read_response->inc();
-    trace_retire(pkt, "rdma_read_response");
+    retire(pkt, retire_.rdma_read_response, "rdma_read_response");
     if (rc_config_.enabled) rc_on_read_response(pkt);
     complete_rdma_read(pkt);
     return;
@@ -524,16 +506,12 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
   // 5. SEND delivery: locate the destination QP; UD checks the Q_Key.
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr) {
-    retire_.no_dest_qp->inc();
-    trace_retire(pkt, "no_dest_qp");
+    retire(pkt, retire_.no_dest_qp, "no_dest_qp");
     return;
   }
   if (qp->type == ServiceType::kUnreliableDatagram) {
     if (!pkt.deth || pkt.deth->qkey != qp->qkey) {
-      ++counters_.qkey_violations;
-      ++qp->counters.dropped_bad_qkey;
       qkey_drop_counter(*qp).inc();
-      retire_.qkey_violation->inc();
       if (fabric_.simulator().audit().enabled()) {
         obs::AuditEvent ev = audit_event(pkt);
         ev.verdict = "rejected";
@@ -542,16 +520,13 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
                     : -1;
         fabric_.simulator().audit().emit("qkey_reject", ev);
       }
-      trace_retire(pkt, "qkey_violation");
+      retire(pkt, retire_.qkey_violation, "qkey_violation");
       return;
     }
   } else if (!rc_config_.enabled) {
     track_rc_psn(pkt, *qp);
   }
-  ++qp->counters.received;
-  ++counters_.delivered;
-  retire_.delivered->inc();
-  trace_retire(pkt, nullptr);
+  retire(pkt, retire_.delivered, nullptr);
   if (probe_) probe_(pkt);
   if (receive_handler_) receive_handler_(pkt, *qp);
 
@@ -606,9 +581,10 @@ void ChannelAdapter::handle_data_packet(ib::Packet&& pkt) {
 
 IBSEC_HOT void ChannelAdapter::track_rc_psn(const ib::Packet& pkt,
                                             QueuePair& qp) {
-  // RC delivery is expected in PSN order (the lossless fabric preserves
-  // per-VL FIFO); deviations are counted, not dropped — the simulator has
-  // no retransmission path to exercise.
+  // The RC protocol-off path: delivery is expected in PSN order (the
+  // lossless fabric preserves per-VL FIFO), and deviations are counted, not
+  // dropped. With RcConfig::enabled the reliability gate in
+  // handle_data_packet sequences RC requests instead.
   if (pkt.bth.psn != qp.expected_psn) {
     ++counters_.rc_out_of_order;
   }
@@ -641,11 +617,7 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.reth) {
-    if (!duplicate) {
-      ++counters_.rdma_rejected;
-      retire_.rdma_rejected->inc();
-      trace_retire(pkt, "rdma_rejected");
-    }
+    if (!duplicate) retire(pkt, retire_.rdma_rejected, "rdma_rejected");
     return;
   }
   ib::Packet resp = make_packet(ib::PacketMeta::TrafficClass::kBestEffort,
@@ -658,18 +630,12 @@ void ChannelAdapter::serve_rdma_read(const ib::Packet& pkt, bool duplicate) {
   const auto region = memory_table_.check_access(
       pkt.reth->rkey, pkt.reth->va, pkt.reth->dma_len, /*is_write=*/false);
   if (!region) {
-    if (!duplicate) {
-      ++counters_.rdma_read_naks;
-      retire_.rdma_nak->inc();
-      trace_retire(pkt, "rdma_nak");
-    }
+    if (!duplicate) retire(pkt, retire_.rdma_nak, "rdma_nak");
     resp.aeth = ib::Aeth{0x60 /*NAK: remote access error*/, pkt.bth.psn};
   } else {
     if (!duplicate) {
       ++counters_.rdma_reads_served;
-      ++counters_.delivered;
-      retire_.delivered->inc();
-      trace_retire(pkt, nullptr);
+      retire(pkt, retire_.delivered, nullptr);
       if (probe_) probe_(pkt);
     }
     resp.aeth = ib::Aeth{0x00, pkt.bth.psn};
@@ -773,7 +739,6 @@ void ChannelAdapter::rc_retransmit(QueuePair& qp, ib::Psn from_psn) {
   sim::Simulator& sim = fabric_.simulator();
   for (auto& [psn, entry] : qp.rc_tx.window) {
     if (psn_lt(psn, from_psn)) continue;
-    ++counters_.rc_retransmits;
     rc_obs_.retransmits->inc();
     if (sim.trace().enabled() && entry.pkt.meta.trace_id != 0) {
       sim.trace().instant(entry.pkt.meta.trace_id,
@@ -786,7 +751,6 @@ void ChannelAdapter::rc_retransmit(QueuePair& qp, ib::Psn from_psn) {
 }
 
 void ChannelAdapter::rc_fail(QueuePair& qp) {
-  ++counters_.rc_retry_exhausted;
   rc_obs_.retry_exhausted->inc();
   qp.rc_error = true;
   const ib::Psn oldest = qp.rc_tx.window.empty()
@@ -809,7 +773,6 @@ void ChannelAdapter::rc_fail(QueuePair& qp) {
 
 IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   if (!rc_config_.enabled) {
-    ++counters_.acks_received;
     retire_.ack->inc();
     return;
   }
@@ -827,7 +790,6 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   QueuePair* qp = find_qp(pkt.bth.dest_qp);
   if (qp == nullptr || qp->type != ServiceType::kReliableConnection ||
       !qp->connected || !pkt.aeth) {
-    ++counters_.rc_bad_control;
     retire_.rc_bad_control->inc();
     audit_rc("rejected", -1);
     return;
@@ -838,7 +800,6 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   // snapshot entry.
   const auto note_spoof = [&](const ib::Packet& p, std::size_t cleared) {
     if (!p.meta.is_attack || cleared == 0) return;
-    ++counters_.rc_spoofed_accepted;
     if (rc_spoofed_obs_ == nullptr) rc_spoofed_obs_ = &rc_spoofed_counter();
     rc_spoofed_obs_->inc();
     audit_rc("accepted", static_cast<std::int64_t>(cleared));
@@ -848,31 +809,26 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
   if (pkt.aeth->syndrome == kAethAck) {
     if (qp->rc_tx.window.empty()) {
       // Nothing outstanding: a stale duplicate of an earlier ACK.
-      ++counters_.acks_received;
       retire_.ack->inc();
       return;
     }
     if (rc_config_.validate_control && !psn_lt(psn, qp->next_psn)) {
       // Acknowledges PSNs never sent — forged or corrupted; never lets an
       // attacker clear a window they didn't earn.
-      ++counters_.rc_bad_control;
       retire_.rc_bad_control->inc();
       audit_rc("rejected", static_cast<std::int64_t>(psn));
       return;
     }
-    ++counters_.acks_received;
     retire_.ack->inc();
     note_spoof(pkt, rc_ack_through(*qp, psn, /*inclusive=*/true));
     return;
   }
   if (pkt.aeth->syndrome == kAethNakPsnSequence) {
     if (rc_config_.validate_control && !psn_le(psn, qp->next_psn)) {
-      ++counters_.rc_bad_control;
       retire_.rc_bad_control->inc();
       audit_rc("rejected", static_cast<std::int64_t>(psn));
       return;
     }
-    ++counters_.naks_received;
     retire_.nak->inc();
     // AETH.msn names the receiver's expected PSN: everything below it is
     // implicitly acknowledged, everything at/after it goes out again now.
@@ -885,7 +841,6 @@ IBSEC_HOT void ChannelAdapter::handle_rc_ack(const ib::Packet& pkt) {
     }
     return;
   }
-  ++counters_.rc_bad_control;
   retire_.rc_bad_control->inc();
   audit_rc("rejected", static_cast<std::int64_t>(psn));
 }
@@ -982,7 +937,6 @@ void ChannelAdapter::send_rc_ack(QueuePair& qp) {
   ack.bth.psn = acked;
   ack.meta.src_qp = qp.qpn;
   ack.aeth = ib::Aeth{kAethAck, acked};
-  ++counters_.acks_sent;
   rc_obs_.acks->inc();
   sign_and_send(std::move(ack));
 }
@@ -997,7 +951,6 @@ void ChannelAdapter::send_rc_nak(QueuePair& qp) {
   nak.bth.psn = qp.expected_psn;
   nak.meta.src_qp = qp.qpn;
   nak.aeth = ib::Aeth{kAethNakPsnSequence, qp.expected_psn};
-  ++counters_.naks_sent;
   rc_obs_.naks->inc();
   sign_and_send(std::move(nak));
 }
@@ -1015,18 +968,14 @@ obs::Counter& ChannelAdapter::qkey_drop_counter(const QueuePair& qp) {
 
 void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   if (!pkt.reth) {
-    ++counters_.rdma_rejected;
-    retire_.rdma_rejected->inc();
-    trace_retire(pkt, "rdma_rejected");
+    retire(pkt, retire_.rdma_rejected, "rdma_rejected");
     return;
   }
   const auto region = memory_table_.check_access(
       pkt.reth->rkey, pkt.reth->va,
       static_cast<std::uint32_t>(pkt.payload.size()), /*is_write=*/true);
   if (!region) {
-    ++counters_.rdma_rejected;
-    retire_.rdma_rejected->inc();
-    trace_retire(pkt, "rdma_rejected");
+    retire(pkt, retire_.rdma_rejected, "rdma_rejected");
     return;
   }
   auto& buffer = memory_[pkt.reth->rkey];
@@ -1035,9 +984,7 @@ void ChannelAdapter::apply_rdma_write(const ib::Packet& pkt) {
   std::copy(pkt.payload.begin(), pkt.payload.end(),
             buffer.begin() + static_cast<long>(offset));
   ++counters_.rdma_writes_applied;
-  ++counters_.delivered;
-  retire_.delivered->inc();
-  trace_retire(pkt, nullptr);
+  retire(pkt, retire_.delivered, nullptr);
   if (probe_) probe_(pkt);
 }
 

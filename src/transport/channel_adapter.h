@@ -193,40 +193,33 @@ class ChannelAdapter {
   void set_delivery_probe(DeliveryProbe probe) { probe_ = std::move(probe); }
 
   // --- counters ---------------------------------------------------------------
+  /// Events no registry counter records. Packet retirements and the RC
+  /// protocol's own events are counted only in the registry, under
+  /// "ca.<node>.retired.<cause>" and "ca.<node>.rc.*"
+  /// (docs/metrics_schema.md).
   struct Counters {
-    std::uint64_t delivered = 0;
-    std::uint64_t pkey_violations = 0;
-    std::uint64_t qkey_violations = 0;
-    std::uint64_t auth_rejected = 0;       // bad tag / no key / replay
-    std::uint64_t auth_unauthenticated = 0;// policy demanded a MAC, none present
-    std::uint64_t icrc_errors = 0;
-    std::uint64_t vcrc_errors = 0;         // last-hop corruption
     std::uint64_t traps_sent = 0;
     std::uint64_t mads_received = 0;
     std::uint64_t rdma_writes_applied = 0;
-    std::uint64_t rdma_rejected = 0;
     std::uint64_t rdma_reads_served = 0;
-    std::uint64_t rdma_read_naks = 0;
+    /// RC protocol off only (maybe_send_ack / track_rc_psn). With it on,
+    /// see "ca.<node>.rc.acks" and "ca.<node>.retired.rc_out_of_order".
     std::uint64_t acks_sent = 0;
-    std::uint64_t acks_received = 0;
-    std::uint64_t naks_sent = 0;
-    std::uint64_t naks_received = 0;
     std::uint64_t rc_out_of_order = 0;
-    std::uint64_t rc_duplicates = 0;
-    std::uint64_t rc_retransmits = 0;
-    std::uint64_t rc_retry_exhausted = 0;
-    std::uint64_t rc_bad_control = 0;
-    /// Attack-tagged RC control packets that passed validation AND cleared
-    /// send-window entries they never earned — the rc-spoof campaign's
-    /// success metric. Stays 0 with validate_control on unless a spoofed
-    /// PSN lands inside the live window (~window/2^24 per attempt).
-    std::uint64_t rc_spoofed_accepted = 0;
     std::uint64_t messages_delivered = 0;
     std::uint64_t reassembly_errors = 0;
     std::uint64_t reconfigs_applied = 0;
     std::uint64_t reconfigs_rejected = 0;
   };
   const Counters& counters() const { return counters_; }
+  /// Attack-tagged RC control packets that passed validation AND cleared
+  /// send-window entries they never earned — the rc-spoof campaign's
+  /// success metric, read from "ca.<node>.rc.spoofed_control_accepted".
+  /// Stays 0 with validate_control on unless a spoofed PSN lands inside the
+  /// live window (~window/2^24 per attempt).
+  std::uint64_t rc_spoofed_accepted() const {
+    return rc_spoofed_obs_ == nullptr ? 0 : rc_spoofed_obs_->value();
+  }
 
  private:
   void on_packet(ib::Packet&& pkt);
@@ -273,9 +266,10 @@ class ChannelAdapter {
   /// lifecycle trace's create event matches meta.created_at.
   ib::Packet make_packet(ib::PacketMeta::TrafficClass tclass, int dst_node,
                          ib::PKeyValue pkey, SimTime created_at = -1);
-  /// Records the terminal trace event for a packet retiring at this CA:
-  /// kRetire with the given cause, or kDeliver when cause is nullptr.
-  void trace_retire(const ib::Packet& pkt, const char* cause);
+  /// Retires a packet at this CA: bumps its "ca.<node>.retired.*" counter
+  /// and records the terminal trace event — kRetire with the given cause,
+  /// or kDeliver when cause is nullptr.
+  void retire(const ib::Packet& pkt, obs::Counter* counter, const char* cause);
   /// Common audit-event skeleton for a packet judged at this CA: actor =
   /// SLID/DETH source QP, victim = DLID/BTH destination QP, trace join key.
   /// Callers fill `verdict`/`a0` and emit; sites guard on audit().enabled().
@@ -355,9 +349,8 @@ class ChannelAdapter {
     obs::Counter* retry_exhausted = nullptr;
   };
   RcObs rc_obs_;
-  /// Lazily-created per-QP Q_Key-violation counters (satellite of the
-  /// invariant suite: QueuePair::dropped_bad_qkey used to be invisible to
-  /// --metrics).
+  /// Lazily-created per-QP Q_Key-violation counters,
+  /// "ca.<node>.qp.<qpn>.dropped_bad_qkey".
   std::map<ib::Qpn, obs::Counter*> qkey_drop_obs_;
   /// Lazily-resolved "ca.<n>.rc.spoofed_control_accepted": only runs that
   /// actually see an accepted spoofed control packet grow a snapshot entry,

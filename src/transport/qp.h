@@ -46,12 +46,6 @@ struct QueuePair {
   /// posts fail, and the application has been told via the error handler.
   bool rc_error = false;
 
-  struct Counters {
-    std::uint64_t sent = 0;
-    std::uint64_t received = 0;
-    std::uint64_t dropped_bad_qkey = 0;
-  } counters;
-
   ib::Psn take_psn() {
     const ib::Psn psn = next_psn;
     next_psn = (next_psn + 1) & ib::kPsnMask;

@@ -68,14 +68,14 @@ class SubnetManager {
   void set_trap_validation(bool on) { trap_validation_ = on; }
   bool trap_validation() const { return trap_validation_; }
 
-  // --- statistics ---------------------------------------------------------------
-  std::uint64_t traps_received() const { return traps_received_; }
-  std::uint64_t sif_installs() const { return sif_installs_; }
+  // --- statistics (read from the "sm.*" registry counters) -----------------
+  std::uint64_t traps_received() const { return obs_traps_->value(); }
+  std::uint64_t sif_installs() const { return obs_sif_installs_->value(); }
   /// Traps rejected by validation (forged or self-poisoning).
-  std::uint64_t traps_rejected() const { return traps_rejected_; }
+  std::uint64_t traps_rejected() const { return value_of(obs_traps_rejected_); }
   /// Poisoning traps that validation was NOT armed against and that went on
   /// to arm SIF against a legitimate key — the trap-forge success metric.
-  std::uint64_t poisoned_installs() const { return poisoned_installs_; }
+  std::uint64_t poisoned_installs() const { return value_of(obs_poisoned_); }
 
  private:
   bool handle_mad(const Mad& mad);
@@ -84,6 +84,10 @@ class SubnetManager {
   /// node's own legitimate traffic.
   bool pkey_legal_for(int node, ib::PKeyValue pkey) const;
   void arm_sif(int offender_node, ib::PKeyValue pkey);
+  /// A lazily-resolved counter reads 0 until its first event.
+  static std::uint64_t value_of(const obs::Counter* c) {
+    return c == nullptr ? 0 : c->value();
+  }
 
   fabric::Fabric& fabric_;
   std::vector<ChannelAdapter*> cas_;
@@ -92,10 +96,6 @@ class SubnetManager {
   std::map<ib::PKeyValue, std::vector<int>> partitions_;
   std::map<int, ib::MKeyValue> m_keys_;
   bool trap_validation_ = true;
-  std::uint64_t traps_received_ = 0;
-  std::uint64_t sif_installs_ = 0;
-  std::uint64_t traps_rejected_ = 0;
-  std::uint64_t poisoned_installs_ = 0;
   // "sm.*" registry handles; program_delay accumulates the trap-to-armed
   // SMP latency the SIF reaction time depends on.
   obs::Counter* obs_traps_ = nullptr;

@@ -295,7 +295,6 @@ void CollectiveWorkload::post_step(std::uint32_t step) {
                       make_payload(msg),
                       ib::PacketMeta::TrafficClass::kBestEffort, dst.node(),
                       dst_qp, qkey)) {
-      ++posted_;
       obs_posted_->inc();
     } else {
       ++post_failures_;
@@ -319,7 +318,6 @@ void CollectiveWorkload::on_delivered(int node, const ib::Packet& pkt) {
     ok = pkt.payload[i] == fill_byte(msg, i);
   }
   if (!ok) {
-    ++payload_mismatches_;
     obs_mismatch_->inc();
     return;
   }

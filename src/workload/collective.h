@@ -94,7 +94,7 @@ class CollectiveWorkload {
   }
   SimTime span() const;  ///< start-relative time of the last step
 
-  std::uint64_t posted() const { return posted_; }
+  std::uint64_t posted() const { return obs_posted_->value(); }
   std::uint64_t post_failures() const { return post_failures_; }
   /// Delivered messages in arrival order, as decoded from the payloads.
   const std::vector<CollectiveMessage>& delivered() const {
@@ -102,7 +102,7 @@ class CollectiveWorkload {
   }
   /// Deliveries whose payload fill did not match the deterministic pattern
   /// (corruption or misrouting slipping past the fabric checks).
-  std::uint64_t payload_mismatches() const { return payload_mismatches_; }
+  std::uint64_t payload_mismatches() const { return obs_mismatch_->value(); }
 
  private:
   void post_step(std::uint32_t step);
@@ -113,9 +113,7 @@ class CollectiveWorkload {
   std::vector<ib::Qpn> qps_;                     // rank -> collective UD QP
   std::vector<CollectiveMessage> schedule_;
   std::uint32_t num_steps_ = 0;
-  std::uint64_t posted_ = 0;
   std::uint64_t post_failures_ = 0;
-  std::uint64_t payload_mismatches_ = 0;
   std::vector<CollectiveMessage> delivered_;
   obs::Counter* obs_posted_ = nullptr;
   obs::Counter* obs_delivered_ = nullptr;

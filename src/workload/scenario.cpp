@@ -392,15 +392,7 @@ ScenarioResult Scenario::run() {
   result.switch_filter_drops = fabric_->total_filter_drops();
   result.switch_filter_lookups = fabric_->total_filter_lookups();
   result.switch_table_memory = fabric_->total_filter_memory_bytes();
-  const auto sw_stats = fabric_->aggregate_switch_stats();
-  result.forwarded = sw_stats.forwarded;
-  result.rate_limited = sw_stats.dropped_rate_limited;
-  for (auto& ca_ptr : cas_) {
-    result.hca_pkey_violations += ca_ptr->counters().pkey_violations;
-    result.traps_sent += ca_ptr->counters().traps_sent;
-    result.delivered += ca_ptr->counters().delivered;
-    result.auth_rejected += ca_ptr->counters().auth_rejected;
-  }
+  for (auto& ca_ptr : cas_) result.traps_sent += ca_ptr->counters().traps_sent;
   result.sm_traps_received = sm_->traps_received();
   result.sif_installs = sm_->sif_installs();
 
@@ -419,12 +411,17 @@ ScenarioResult Scenario::run() {
   export_class("workload.realtime.", result.realtime);
   export_class("workload.best_effort.", result.best_effort);
   result.obs = reg.snapshot();
-  result.attack_attempts = static_cast<std::uint64_t>(
-      result.obs.sum_matching("attacker.*.attempts"));
-  result.attack_successes = static_cast<std::uint64_t>(
-      result.obs.sum_matching("attacker.*.success"));
-  result.qkey_drops = static_cast<std::uint64_t>(
-      result.obs.sum_matching("ca.*.dropped_bad_qkey"));
+  const auto sum = [&result](std::string_view pattern) {
+    return static_cast<std::uint64_t>(result.obs.sum_matching(pattern));
+  };
+  result.forwarded = sum("switch.*.forwarded");
+  result.rate_limited = sum("switch.*.drop.rate_limited");
+  result.hca_pkey_violations = sum("ca.*.retired.pkey_violation");
+  result.delivered = sum("ca.*.retired.delivered");
+  result.auth_rejected = sum("ca.*.retired.auth_rejected");
+  result.attack_attempts = sum("attacker.*.attempts");
+  result.attack_successes = sum("attacker.*.success");
+  result.qkey_drops = sum("ca.*.dropped_bad_qkey");
   if (timeseries_) {
     // Closing bucket, unless the last scheduled tick already landed exactly
     // at end-of-run (run_until executes events at t == end).

@@ -79,6 +79,12 @@ struct AttackFixture : public ::testing::Test {
     return pkt;
   }
 
+  /// "ca.<node>.<name>" from the fabric's metrics registry.
+  std::int64_t ca_metric(int node, const std::string& name) {
+    return fabric->simulator().obs().snapshot().at(
+        "ca." + std::to_string(node) + "." + name);
+  }
+
   transport::PkiDirectory pki;
   std::unique_ptr<fabric::Fabric> fabric;
   std::vector<std::unique_ptr<ChannelAdapter>> cas;
@@ -147,7 +153,7 @@ TEST_F(AttackFixture, PKeyExposureBreaksMembership) {
   run();
   // Vulnerability: the packet is accepted although node 2 is no member.
   EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(cas[kVictim]->counters().pkey_violations, 0u);
+  EXPECT_EQ(ca_metric(kVictim, "retired.pkey_violation"), 0);
 }
 
 TEST_F(AttackFixture, AuthenticationClosesPKeyHole) {
@@ -162,7 +168,7 @@ TEST_F(AttackFixture, AuthenticationClosesPKeyHole) {
       attacker_packet(victim_qp.qpn, victim_qp.qkey, "outsider data"));
   run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[kVictim]->counters().auth_unauthenticated, 1u);
+  EXPECT_EQ(ca_metric(kVictim, "retired.auth_missing"), 1);
   // Legitimate member traffic still flows.
   auto& peer_qp = cas[kPeer]->create_qp(ServiceType::kUnreliableDatagram,
                                         kPkey);
@@ -189,7 +195,7 @@ TEST_F(AttackFixture, QKeyExposureDisruptsQp) {
       attacker_packet(victim_qp.qpn, victim_qp.qkey ^ 1, "bad qkey"));
   run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[kVictim]->counters().qkey_violations, 1u);
+  EXPECT_EQ(ca_metric(kVictim, "retired.qkey_violation"), 1);
 
   // ...but both plaintext keys together walk right in.
   cas[kAttacker]->inject_raw(
@@ -315,7 +321,7 @@ TEST_F(AttackFixture, CapturedPacketReplayAndDefence) {
   replay.meta = PacketMeta{};
   cas[kAttacker]->inject_raw(ib::Packet(replay));
   run();
-  EXPECT_EQ(cas[kVictim]->counters().delivered, 2u);
+  EXPECT_EQ(ca_metric(kVictim, "retired.delivered"), 2);
 
   // Arm the PSN replay window: the next replay is dropped.
   engines[kVictim]->set_replay_protection(true);

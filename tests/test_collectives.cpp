@@ -168,6 +168,10 @@ struct TopoCase {
   fabric::TopologySpec (*spec)();
 };
 
+// Name each case by its topology: the default printer dumps the struct's
+// pointer bytes, which made the ctest names differ on every build.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 class CollectiveOnTopology : public ::testing::TestWithParam<TopoCase> {};
 
 TEST_P(CollectiveOnTopology, AllToAllDeliversExactMultiset) {

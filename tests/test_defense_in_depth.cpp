@@ -85,8 +85,10 @@ TEST(DefenseInDepth, AllMechanismsCoexist) {
     scenario.ca(attacker).inject_raw(std::move(forged));
   });
 
-  const auto before_forge =
-      scenario.ca(victim).counters().auth_unauthenticated;
+  const std::string auth_missing =
+      "ca." + std::to_string(victim) + ".retired.auth_missing";
+  const std::int64_t before_forge =
+      scenario.fabric().simulator().obs().snapshot().at(auth_missing);
   const auto result = scenario.run();
 
   // Legitimate traffic flowed, authenticated, with sane delay.
@@ -100,8 +102,7 @@ TEST(DefenseInDepth, AllMechanismsCoexist) {
 
   // Prong 2: the forged packet was rejected as unauthenticated, and no
   // legitimate packet was harmed by that rejection.
-  EXPECT_EQ(scenario.ca(victim).counters().auth_unauthenticated,
-            before_forge + 1);
+  EXPECT_EQ(result.obs.at(auth_missing), before_forge + 1);
 
   // No legitimate traffic was falsely rejected by MAC or replay checks.
   EXPECT_EQ(result.auth_rejected, 0u);

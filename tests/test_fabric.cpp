@@ -88,7 +88,9 @@ TEST(Fabric, XyRoutingReachesEveryPair) {
   }
   fabric.simulator().run();
   EXPECT_EQ(received, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
+  EXPECT_EQ(fabric.simulator().obs().snapshot().sum_matching(
+                "switch.*.drop.no_route"),
+            0);
 }
 
 TEST(Fabric, HopCountMatchesManhattanDistance) {
@@ -209,7 +211,9 @@ TEST(Fabric, VcrcCorruptionDroppedAtFirstSwitch) {
   fabric.hca(0).send(std::move(pkt));
   fabric.simulator().run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 1u);
+  EXPECT_EQ(fabric.simulator().obs().snapshot().sum_matching(
+                "switch.*.drop.vcrc"),
+            1);
 }
 
 // --- partition filtering at switches ----------------------------------------

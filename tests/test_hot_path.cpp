@@ -187,11 +187,13 @@ TEST(PacketPool, ReusesSlotsInsteadOfGrowing) {
 TEST(PacketPool, PacketContentSurvivesTheSlot) {
   fabric::PacketPool pool;
   ib::Packet original = make_ud_packet(128);
-  const auto wire_before = original.serialize();
+  std::vector<std::uint8_t> wire_before, wire_after;
+  original.serialize_into(wire_before);
   ib::Packet* slot = pool.acquire(std::move(original));
   ib::Packet delivered = std::move(*slot);
   pool.release(slot);
-  EXPECT_EQ(delivered.serialize(), wire_before);
+  delivered.serialize_into(wire_after);
+  EXPECT_EQ(wire_after, wire_before);
 }
 
 TEST(PacketPool, GrowsToConcurrentInFlightCountThenStabilizes) {
@@ -320,13 +322,17 @@ TEST(StreamingEquivalence, ScratchSerializersMatchMaterializers) {
   std::vector<std::uint8_t> scratch;  // reused across packets, as on the hot path
   for (int trial = 0; trial < 200; ++trial) {
     const ib::Packet pkt = random_packet(rng);
+    std::vector<std::uint8_t> wire, icrc_bytes, vcrc_bytes;  // fresh buffers
+    pkt.serialize_into(wire);
+    pkt.icrc_covered_into(icrc_bytes);
+    pkt.vcrc_covered_into(vcrc_bytes);
     pkt.serialize_into(scratch);
-    EXPECT_EQ(scratch, pkt.serialize());
+    EXPECT_EQ(scratch, wire);
     EXPECT_EQ(scratch.size(), pkt.wire_size());
     pkt.icrc_covered_into(scratch);
-    EXPECT_EQ(scratch, pkt.icrc_covered_bytes());
+    EXPECT_EQ(scratch, icrc_bytes);
     pkt.vcrc_covered_into(scratch);
-    EXPECT_EQ(scratch, pkt.vcrc_covered_bytes());
+    EXPECT_EQ(scratch, vcrc_bytes);
   }
 }
 
@@ -336,8 +342,11 @@ TEST(StreamingEquivalence, IncrementalCrcsMatchCoveredByteHashes) {
     const ib::Packet pkt = random_packet(rng);
     // The pre-refactor implementations: materialize the covered bytes, then
     // one-shot hash them.
-    EXPECT_EQ(pkt.compute_icrc(), crypto::crc32(pkt.icrc_covered_bytes()));
-    EXPECT_EQ(pkt.compute_vcrc(), crypto::crc16_iba(pkt.vcrc_covered_bytes()));
+    std::vector<std::uint8_t> covered;
+    pkt.icrc_covered_into(covered);
+    EXPECT_EQ(pkt.compute_icrc(), crypto::crc32(covered));
+    pkt.vcrc_covered_into(covered);
+    EXPECT_EQ(pkt.compute_vcrc(), crypto::crc16_iba(covered));
   }
 }
 
@@ -470,7 +479,9 @@ TEST(StreamingEquivalence, EveryMacAlgorithmVerifiesItsOwnPacketTags) {
       const ib::Packet pkt = random_packet(rng);
       pkt.icrc_covered_into(scratch);
       const std::uint32_t tag = mac->tag32(scratch, pkt.bth.psn);
-      EXPECT_EQ(tag, mac->tag32(pkt.icrc_covered_bytes(), pkt.bth.psn));
+      std::vector<std::uint8_t> fresh;
+      pkt.icrc_covered_into(fresh);
+      EXPECT_EQ(tag, mac->tag32(fresh, pkt.bth.psn));
       EXPECT_TRUE(mac->verify(scratch, pkt.bth.psn, tag));
     }
   }

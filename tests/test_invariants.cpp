@@ -44,6 +44,9 @@ void expect_conservation(const obs::Snapshot& snap, int nodes) {
   const std::int64_t retired = snap.sum_matching("ca.*.retired.*");
 
   EXPECT_GT(injected, 0);
+  // A name registered under two kinds hands its second resolver a sink that
+  // never exports, so an accessor reading that handle would report 0.
+  EXPECT_FALSE(snap.contains("obs.kind_collisions"));
   // Fabric-wide: injected packets either died in a switch, were lost on a
   // faulty link, or reached an HCA.
   EXPECT_EQ(injected, switch_drops + link_drops + received);
@@ -208,9 +211,8 @@ TEST(Conservation, DeadSwitch) {
 }
 
 TEST(Conservation, QkeyDropSurfacedPerQp) {
-  // The per-QP dropped_bad_qkey counter (bugfix: QueuePair::dropped_bad_qkey
-  // used to be invisible to the registry) must agree with the CA-level
-  // retire cause and the struct counter.
+  // The per-QP dropped_bad_qkey counters must agree with the CA-level
+  // retire cause.
   ScenarioConfig cfg = base_config();
   cfg.enable_realtime = false;
   cfg.enable_best_effort = false;
@@ -255,15 +257,13 @@ TEST(Conservation, QkeyDropSurfacedPerQp) {
   EXPECT_EQ(snap.at(per_qp), 5);
   EXPECT_EQ(snap.sum_matching("ca.*.qp.*.dropped_bad_qkey"),
             snap.sum_matching("ca.*.retired.qkey_violation"));
-  EXPECT_EQ(static_cast<std::int64_t>(
-                scenario.ca(dst).find_qp(dst_qpn)->counters.dropped_bad_qkey),
-            snap.at(per_qp));
   expect_conservation(snap, scenario.fabric().node_count());
 }
 
 TEST(Conservation, SnapshotAgreesWithLegacyCounters) {
-  // The registry view and the pre-existing struct counters must describe
-  // the same events.
+  // The registry view and the records kept outside it (per-attacker
+  // injection counts, the workload's latency samples) must describe the
+  // same events.
   ScenarioConfig cfg = base_config();
   cfg.num_attackers = 2;
   cfg.fabric.filter_mode = fabric::FilterMode::kSif;
@@ -272,14 +272,6 @@ TEST(Conservation, SnapshotAgreesWithLegacyCounters) {
 
   EXPECT_EQ(result.obs.at("attack.packets_injected"),
             static_cast<std::int64_t>(result.attack_packets));
-  EXPECT_EQ(result.obs.at("sm.traps_received"),
-            static_cast<std::int64_t>(result.sm_traps_received));
-  EXPECT_EQ(result.obs.at("sm.sif_installs"),
-            static_cast<std::int64_t>(result.sif_installs));
-  EXPECT_EQ(result.obs.sum_matching("switch.*.filter.drops"),
-            static_cast<std::int64_t>(result.switch_filter_drops));
-  EXPECT_EQ(result.obs.sum_matching("switch.*.forwarded"),
-            static_cast<std::int64_t>(result.forwarded));
   EXPECT_EQ(result.obs.at("workload.realtime.delivered"),
             static_cast<std::int64_t>(result.realtime.total_us.count()));
 }

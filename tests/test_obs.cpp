@@ -60,16 +60,6 @@ TEST(Registry, KindCollisionReturnsSinkAndIsExported) {
   EXPECT_EQ(snap.at("obs.kind_collisions"), 1);
 }
 
-TEST(Registry, DisabledRegistryExportsNothing) {
-  Registry reg;
-  reg.set_enabled(false);
-  reg.counter("a").inc(100);
-  reg.gauge("b").set(7);
-  reg.time_accumulator("c").add(55);
-  EXPECT_EQ(reg.size(), 0u);
-  EXPECT_TRUE(reg.snapshot().values.empty());
-}
-
 TEST(Registry, SnapshotFlattensEveryKind) {
   Registry reg;
   reg.counter("n.count").inc(3);

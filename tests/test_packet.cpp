@@ -26,7 +26,8 @@ Packet make_ud_packet(std::size_t payload_size = 256) {
 
 TEST(Packet, SerializeParseRoundTrip) {
   const Packet pkt = make_ud_packet();
-  const auto wire = pkt.serialize();
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
   const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->lrh, pkt.lrh);
@@ -41,7 +42,9 @@ TEST(Packet, SerializeParseRoundTrip) {
 TEST(Packet, WireSizeMatchesSerialization) {
   for (std::size_t payload : {0u, 1u, 255u, 1024u}) {
     const Packet pkt = make_ud_packet(payload);
-    EXPECT_EQ(pkt.wire_size(), pkt.serialize().size());
+    std::vector<std::uint8_t> wire;
+    pkt.serialize_into(wire);
+    EXPECT_EQ(pkt.wire_size(), wire.size());
   }
 }
 
@@ -137,7 +140,9 @@ TEST(Packet, RdmaWriteCarriesReth) {
   pkt.reth = Reth{0x1000, 0xCAFE, 128};
   pkt.payload.assign(128, 1);
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
+  const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->reth.has_value());
   EXPECT_EQ(parsed->reth->va, 0x1000u);
@@ -150,7 +155,9 @@ TEST(Packet, AckCarriesAeth) {
   pkt.bth.opcode = OpCode::kRcAck;
   pkt.aeth = Aeth{0, 55};
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
+  const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->aeth.has_value());
   EXPECT_EQ(parsed->aeth->msn, 55u);
@@ -162,7 +169,9 @@ TEST(Packet, GrhRoundTrip) {
   pkt.grh = Grh{};
   pkt.grh->dgid[15] = 0x42;
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
+  const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->grh.has_value());
   EXPECT_EQ(parsed->grh->dgid[15], 0x42);
@@ -171,21 +180,25 @@ TEST(Packet, GrhRoundTrip) {
 // --- parser robustness -----------------------------------------------------------
 
 TEST(PacketParse, RejectsTruncatedBuffers) {
-  const auto wire = make_ud_packet().serialize();
+  std::vector<std::uint8_t> wire;
+  make_ud_packet().serialize_into(wire);
   for (std::size_t len : {0u, 1u, 7u, 19u, 25u}) {
     EXPECT_FALSE(Packet::parse(std::span(wire).first(len)).has_value());
   }
 }
 
 TEST(PacketParse, RejectsUnknownOpcode) {
-  auto wire = make_ud_packet().serialize();
+  std::vector<std::uint8_t> wire;
+  make_ud_packet().serialize_into(wire);
   wire[8] = 0xFE;  // BTH opcode byte (after 8-byte LRH)
   EXPECT_FALSE(Packet::parse(wire).has_value());
 }
 
 TEST(PacketParse, EmptyPayloadOk) {
   const Packet pkt = make_ud_packet(0);
-  const auto parsed = Packet::parse(pkt.serialize());
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
+  const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->payload.empty());
   EXPECT_TRUE(parsed->icrc_valid());
@@ -194,7 +207,8 @@ TEST(PacketParse, EmptyPayloadOk) {
 TEST(PacketParse, CorruptionDetectedByCrcsNotParser) {
   // The parser loads bytes; integrity is the CRCs' job (switches check
   // VCRC, endpoints ICRC).
-  auto wire = make_ud_packet().serialize();
+  std::vector<std::uint8_t> wire;
+  make_ud_packet().serialize_into(wire);
   wire[40] ^= 0x80;  // payload corruption
   const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -209,7 +223,9 @@ TEST_P(PayloadSizeSweep, RoundTripAndCrcsAtSize) {
   Packet pkt = make_ud_packet(GetParam());
   for (auto& b : pkt.payload) b = static_cast<std::uint8_t>(rng.next_u32());
   pkt.finalize();
-  const auto parsed = Packet::parse(pkt.serialize());
+  std::vector<std::uint8_t> wire;
+  pkt.serialize_into(wire);
+  const auto parsed = Packet::parse(wire);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->icrc_valid());
   EXPECT_TRUE(parsed->vcrc_valid());

@@ -71,10 +71,11 @@ TEST(IngressRateLimit, CapsASingleNodeFlood) {
     fabric.hca(0).send(std::move(pkt));
   }
   fabric.simulator().run();
-  const auto stats = fabric.aggregate_switch_stats();
-  EXPECT_GT(stats.dropped_rate_limited, 10u);
-  EXPECT_EQ(static_cast<std::uint64_t>(received) + stats.dropped_rate_limited,
-            40u);
+  const std::int64_t rate_limited =
+      fabric.simulator().obs().snapshot().sum_matching(
+          "switch.*.drop.rate_limited");
+  EXPECT_GT(rate_limited, 10);
+  EXPECT_EQ(received + rate_limited, 40);
 }
 
 TEST(IngressRateLimit, ManagementVlExempt) {
@@ -123,7 +124,9 @@ TEST(IngressRateLimit, DisabledByDefault) {
   }
   fabric.simulator().run();
   EXPECT_EQ(received, 20);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_rate_limited, 0u);
+  EXPECT_EQ(fabric.simulator().obs().snapshot().sum_matching(
+                "switch.*.drop.rate_limited"),
+            0);
 }
 
 TEST(ValidPkeyFlood, DefeatsSifButNotRateLimit) {

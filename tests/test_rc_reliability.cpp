@@ -76,6 +76,12 @@ struct RcFixture : public ::testing::Test {
     return msg;
   }
 
+  /// "ca.<node>.<name>" from the fabric's metrics registry.
+  std::int64_t ca_metric(int node, const std::string& name) {
+    return fabric->simulator().obs().snapshot().at(
+        "ca." + std::to_string(node) + "." + name);
+  }
+
   PkiDirectory pki;
   std::unique_ptr<fabric::Fabric> fabric;
   std::vector<std::unique_ptr<ChannelAdapter>> cas;
@@ -171,9 +177,7 @@ TEST_F(RcFixture, RetryExhaustionSurfacesErrorNotSilence) {
   const QueuePair* qp = cas[0]->find_qp(src_qpn);
   EXPECT_TRUE(qp->rc_error);
   EXPECT_TRUE(qp->rc_tx.window.empty());
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 1u);
-  const auto snap = fabric->simulator().obs().snapshot();
-  EXPECT_EQ(snap.at("ca.0.rc.retry_exhausted"), 1);
+  EXPECT_EQ(ca_metric(0, "rc.retry_exhausted"), 1);
   // The dead QP rejects further work instead of queueing it forever.
   EXPECT_FALSE(cas[0]->post_message(src_qpn, numbered_message(1, 64),
                                     ib::PacketMeta::TrafficClass::kBestEffort));
@@ -195,10 +199,9 @@ TEST_F(RcFixture, BackoffEscalatesTimeouts) {
     expected_floor += rc_backoff_timeout(rc, round);
   }
   EXPECT_GE(fabric->simulator().now(), expected_floor);
-  EXPECT_EQ(cas[0]->counters().rc_retry_exhausted, 1u);
+  EXPECT_EQ(ca_metric(0, "rc.retry_exhausted"), 1);
   // Exactly max_retries retransmission rounds ran before giving up.
-  EXPECT_EQ(cas[0]->counters().rc_retransmits,
-            static_cast<std::uint64_t>(rc.max_retries));
+  EXPECT_EQ(ca_metric(0, "rc.retransmits"), rc.max_retries);
 }
 
 // --- RDMA under loss ---------------------------------------------------------
@@ -229,7 +232,7 @@ TEST_F(RcFixture, RdmaWriteReliableUnderLoss) {
   EXPECT_EQ(*mem, expect);
   EXPECT_FALSE(cas[0]->find_qp(src_qpn)->rc_error);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_GT(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_GT(ca_metric(0, "rc.retransmits"), 0);
 }
 
 TEST_F(RcFixture, RdmaReadReliableUnderLoss) {
@@ -280,10 +283,10 @@ TEST_F(RcFixture, AcksAreCoalesced) {
   fabric->simulator().run();
   // 12 in-order packets with ack_coalesce=4: roughly one ACK per 4 arrivals
   // (plus at most one trailing delayed ACK), far fewer than one per packet.
-  EXPECT_GE(cas[1]->counters().acks_sent, 3u);
-  EXPECT_LE(cas[1]->counters().acks_sent, 6u);
+  EXPECT_GE(ca_metric(1, "rc.acks"), 3);
+  EXPECT_LE(ca_metric(1, "rc.acks"), 6);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
-  EXPECT_EQ(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_EQ(ca_metric(0, "rc.retransmits"), 0);
 }
 
 TEST_F(RcFixture, WindowBackpressureQueuesAndDrains) {
@@ -334,11 +337,11 @@ TEST_F(RcFixture, OutOfOrderArrivalNaksOncePerGap) {
   }
   fabric->simulator().run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(cas[0]->counters().rc_out_of_order, 3u);
+  EXPECT_EQ(ca_metric(0, "retired.rc_out_of_order"), 3);
   // One NAK armed the gap; the repeats didn't re-NAK (go-back-N would
   // otherwise amplify every burst).
-  EXPECT_EQ(cas[0]->counters().naks_sent, 1u);
-  EXPECT_EQ(cas[1]->counters().naks_received, 1u);
+  EXPECT_EQ(ca_metric(0, "rc.naks"), 1);
+  EXPECT_EQ(ca_metric(1, "retired.nak"), 1);
 }
 
 TEST_F(RcFixture, FlapScheduleDropsThenRecovers) {
@@ -385,7 +388,8 @@ TEST_F(RcFixture, DisabledKeepsLegacySemantics) {
   EXPECT_EQ(delivered, 5);
   EXPECT_TRUE(cas[0]->find_qp(src_qpn)->rc_tx.window.empty());
   EXPECT_EQ(cas[1]->counters().acks_sent, 0u);
-  EXPECT_EQ(cas[0]->counters().rc_retransmits, 0u);
+  EXPECT_EQ(ca_metric(1, "rc.acks"), 0);
+  EXPECT_EQ(ca_metric(0, "rc.retransmits"), 0);
 }
 
 }  // namespace

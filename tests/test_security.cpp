@@ -34,6 +34,12 @@ struct SecurityFixture : public ::testing::Test {
 
   void run() { fabric->simulator().run(); }
 
+  /// "ca.<node>.<name>" from the fabric's metrics registry.
+  std::int64_t ca_metric(int node, const std::string& name) {
+    return fabric->simulator().obs().snapshot().at(
+        "ca." + std::to_string(node) + "." + name);
+  }
+
   transport::PkiDirectory pki;
   std::unique_ptr<fabric::Fabric> fabric;
   std::vector<std::unique_ptr<ChannelAdapter>> cas;
@@ -117,8 +123,9 @@ TEST_F(SecurityFixture, PartitionMembersDeriveSameMac) {
   const auto* mac_b = b.rx_mac(pkt);
   ASSERT_NE(mac_a, nullptr);
   ASSERT_NE(mac_b, nullptr);
-  EXPECT_EQ(mac_a->tag32(pkt.icrc_covered_bytes(), 9),
-            mac_b->tag32(pkt.icrc_covered_bytes(), 9));
+  std::vector<std::uint8_t> bytes;
+  pkt.icrc_covered_into(bytes);
+  EXPECT_EQ(mac_a->tag32(bytes, 9), mac_b->tag32(bytes, 9));
 }
 
 TEST_F(SecurityFixture, PartitionLookupIgnoresMembershipBit) {
@@ -168,8 +175,9 @@ TEST_F(SecurityFixture, RcSecretEstablishedBySender) {
   const auto* rx = km2.rx_mac(pkt);
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(tx->tag32(pkt.icrc_covered_bytes(), 0),
-            rx->tag32(pkt.icrc_covered_bytes(), 0));
+  std::vector<std::uint8_t> bytes;
+  pkt.icrc_covered_into(bytes);
+  EXPECT_EQ(tx->tag32(bytes, 0), rx->tag32(bytes, 0));
 }
 
 TEST_F(SecurityFixture, UdQkeyExchangeDeliversKeyAndSecret) {
@@ -206,8 +214,9 @@ TEST_F(SecurityFixture, UdQkeyExchangeDeliversKeyAndSecret) {
   const auto* rx = km3.rx_mac(pkt);
   ASSERT_NE(tx, nullptr);
   ASSERT_NE(rx, nullptr);
-  EXPECT_EQ(tx->tag32(pkt.icrc_covered_bytes(), 5),
-            rx->tag32(pkt.icrc_covered_bytes(), 5));
+  std::vector<std::uint8_t> bytes;
+  pkt.icrc_covered_into(bytes);
+  EXPECT_EQ(tx->tag32(bytes, 5), rx->tag32(bytes, 5));
 }
 
 TEST_F(SecurityFixture, EachRequesterGetsDistinctSecret) {
@@ -236,8 +245,9 @@ TEST_F(SecurityFixture, EachRequesterGetsDistinctSecret) {
   const auto* mac1 = km1.tx_mac(pkt);
   ASSERT_NE(mac0, nullptr);
   ASSERT_NE(mac1, nullptr);
-  EXPECT_NE(mac0->tag32(pkt.icrc_covered_bytes(), 1),
-            mac1->tag32(pkt.icrc_covered_bytes(), 1));
+  std::vector<std::uint8_t> bytes;
+  pkt.icrc_covered_into(bytes);
+  EXPECT_NE(mac0->tag32(bytes, 1), mac1->tag32(bytes, 1));
 }
 
 TEST_F(SecurityFixture, UnknownStreamsHaveNoMac) {
@@ -309,8 +319,8 @@ TEST_F(AuthFixture, UnauthenticatedPacketRejectedUnderPolicy) {
   pkt.finalize();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 0u);
-  EXPECT_EQ(cas[1]->counters().auth_unauthenticated, 1u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 0);
+  EXPECT_EQ(ca_metric(1, "retired.auth_missing"), 1);
 }
 
 TEST_F(AuthFixture, ForgedTagRejected) {
@@ -332,8 +342,8 @@ TEST_F(AuthFixture, ForgedTagRejected) {
   pkt.refresh_vcrc();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 0u);
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 0);
+  EXPECT_EQ(ca_metric(1, "retired.auth_rejected"), 1);
   EXPECT_EQ(engines[1]->stats().bad_tag, 1u);
 }
 
@@ -406,7 +416,7 @@ TEST_F(AuthFixture, AlgorithmDowngradeFailsClosed) {
   pkt.refresh_vcrc();
   cas[2]->inject_raw(std::move(pkt));
   run();
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(ca_metric(1, "retired.auth_rejected"), 1);
 }
 
 TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
@@ -433,7 +443,7 @@ TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
   replay.meta.dst_node = 1;
   cas[2]->inject_raw(ib::Packet(replay));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 2u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 2);
 
   // With the PSN window, the same replay is rejected.
   engines[1]->set_replay_protection(true);
@@ -444,7 +454,7 @@ TEST_F(AuthFixture, ReplayRejectedWithWindowAcceptedWithout) {
   cas[2]->inject_raw(ib::Packet(replay));
   run();
   EXPECT_EQ(engines[1]->stats().replays, 1u);
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 3);
 }
 
 TEST_F(AuthFixture, KeyRotationGraceWindow) {
@@ -476,14 +486,14 @@ TEST_F(AuthFixture, KeyRotationGraceWindow) {
   cas[0]->inject_raw(std::move(replayed));
   run();
   EXPECT_EQ(engines[1]->stats().previous_epoch_accepted, 1u);
-  EXPECT_EQ(cas[1]->counters().delivered, 2u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 2);
 
   // New traffic signs under epoch 1 and verifies against the current key.
   cas[0]->post_send(src.qpn, ascii_bytes("epoch one"),
                     PacketMeta::TrafficClass::kBestEffort, 1, dst.qpn,
                     dst.qkey);
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 3);
 
   // A second rotation expires epoch 0 entirely.
   sm->rotate_partition_secret(kPkey, crypto::AuthAlgorithm::kUmac32);
@@ -493,7 +503,7 @@ TEST_F(AuthFixture, KeyRotationGraceWindow) {
   stale.meta = PacketMeta{};
   cas[0]->inject_raw(std::move(stale));
   run();
-  EXPECT_EQ(cas[1]->counters().delivered, 3u);  // rejected now
+  EXPECT_EQ(ca_metric(1, "retired.delivered"), 3);  // rejected now
   EXPECT_GE(engines[1]->stats().bad_tag, 1u);
 }
 
@@ -520,7 +530,8 @@ TEST_F(SecurityFixture, RotationEvictsCompromisedKeyHolder) {
   pkt.bth.pkey = 0x8400;
   pkt.payload = ascii_bytes("post-rotation");
   pkt.set_lengths();
-  const auto bytes = pkt.icrc_covered_bytes();
+  std::vector<std::uint8_t> bytes;
+  pkt.icrc_covered_into(bytes);
   ASSERT_NE(keys0.tx_mac(pkt), nullptr);
   ASSERT_NE(keys2.tx_mac(pkt), nullptr);
   EXPECT_EQ(keys0.tx_mac(pkt)->tag32(bytes, 1),
@@ -557,7 +568,7 @@ TEST_F(AuthFixture, NoKeyVerdictWhenSecretMissing) {
   cas[0]->inject_raw(std::move(pkt));
   run();
   EXPECT_EQ(engines[1]->stats().no_key, 1u);
-  EXPECT_EQ(cas[1]->counters().auth_rejected, 1u);
+  EXPECT_EQ(ca_metric(1, "retired.auth_rejected"), 1);
 }
 
 }  // namespace

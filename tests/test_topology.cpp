@@ -54,8 +54,9 @@ TEST_P(MeshSizeSweep, AllPairsReachable) {
   int total = 0;
   for (int r : received) total += r;
   EXPECT_EQ(total, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_vcrc, 0u);
+  const obs::Snapshot snap = fabric.simulator().obs().snapshot();
+  EXPECT_EQ(snap.sum_matching("switch.*.drop.no_route"), 0);
+  EXPECT_EQ(snap.sum_matching("switch.*.drop.vcrc"), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, MeshSizeSweep,
@@ -80,7 +81,9 @@ TEST(Topology, SelfAddressedPacketsAreNotHairpinned) {
   fabric.hca(0).send(probe_packet(fabric, 0, 0));
   fabric.simulator().run();
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 1u);
+  EXPECT_EQ(fabric.simulator().obs().snapshot().sum_matching(
+                "switch.*.drop.no_route"),
+            1);
 }
 
 TEST(Topology, ScenarioRunsOnLargeMesh) {

@@ -138,7 +138,9 @@ void check_built_fabric(const FabricConfig& cfg) {
   int total = 0;
   for (int r : received) total += r;
   EXPECT_EQ(total, sent);
-  EXPECT_EQ(fabric.aggregate_switch_stats().dropped_no_route, 0u);
+  EXPECT_EQ(fabric.simulator().obs().snapshot().sum_matching(
+                "switch.*.drop.no_route"),
+            0);
 }
 
 // ---------------------------------------------------------------- fat-tree
