@@ -86,7 +86,7 @@ inline void print_testbed_banner(const fabric::FabricConfig& cfg) {
   std::printf("  VLs per physical link   : %d\n", cfg.link.num_vls);
   std::printf("  MTU                     : %zu bytes\n", cfg.mtu_bytes);
   std::printf("  Topology                : %s\n",
-              cfg.topology.describe(cfg.mesh_width, cfg.mesh_height).c_str());
+              cfg.topology.describe().c_str());
   std::printf("\n");
 }
 

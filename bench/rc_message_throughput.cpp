@@ -26,8 +26,8 @@ struct RunResult {
 
 RunResult run(bool with_auth, std::size_t message_bytes) {
   fabric::FabricConfig fcfg;
-  fcfg.mesh_width = 2;
-  fcfg.mesh_height = 1;
+  fcfg.topology.mesh_width = 2;
+  fcfg.topology.mesh_height = 1;
   fabric::Fabric fabric(fcfg);
   transport::PkiDirectory pki;
   transport::ChannelAdapter ca0(fabric, 0, pki, 1, 256);

@@ -14,8 +14,8 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "common/spec_parse.h"
 #include "workload/scenario.h"
-#include "workload/trace.h"
 
 using namespace ibsec;
 
@@ -68,18 +68,17 @@ void usage(const char* prog) {
       "  --audit[=FILE]       write the security audit event log (JSONL, see\n"
       "                       docs/audit_schema.md); FILE defaults to\n"
       "                       audit.jsonl\n"
-      "  --packet-csv FILE    write the per-packet delivery CSV\n"
       "  --metrics FILE       dump the metrics snapshot (.json = JSON, else CSV)\n"
       "\n"
       "  --trace/--timeseries/--audit accept their output path uniformly as\n"
-      "  '--flag=FILE', '--flag FILE', or bare '--flag' (documented default).\n",
+      "  '--flag=FILE', '--flag FILE', or bare '--flag' (documented default).\n"
+      "\n"
+      "  A malformed value is an error (exit 2), never a default: numbers\n"
+      "  must be whole tokens (no trailing junk, NaN, infinity or\n"
+      "  overflow), counts non-negative, --attack-duty and --faults rates\n"
+      "  within [0, 1]. A --faults link or dead-switch, or an --attack node,\n"
+      "  the topology lacks stops the run.\n",
       prog);
-}
-
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s && *end == '\0';
 }
 
 bool write_text_file(const std::string& path, const std::string& body) {
@@ -93,7 +92,6 @@ bool write_text_file(const std::string& path, const std::string& body) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string packet_csv_path;
   std::string chrome_trace_path;
   std::string breakdown_path;
   std::string timeseries_path;
@@ -113,6 +111,24 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // Reads this flag's value with `parse(text, out)`; a malformed value
+    // exits, so a typo never runs a different experiment.
+    const auto read = [&](auto parse, auto& out) {
+      const char* text = next();
+      if (!parse(text, out)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(), text);
+        std::exit(2);
+      }
+    };
+    const auto count = [](std::string_view text, int& out) {
+      return parse_int(text, out) && out >= 0;
+    };
+    const auto millis = [](std::string_view text, SimTime& out) {
+      return parse_time(text, 1e9, out);
+    };
+    const auto nanos = [](std::string_view text, SimTime& out) {
+      return parse_time(text, 1e3, out);
     };
     // Output flags taking an optional path, uniformly: '--flag=FILE',
     // '--flag FILE' (a following token not starting with "--"), or bare
@@ -135,12 +151,11 @@ int main(int argc, char** argv) {
       if (out.empty()) out = fallback;
       return true;
     };
-    double value = 0;
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      read(parse_u64, cfg.seed);
     } else if (arg == "--topology") {
       const char* spec = next();
       const auto topo = fabric::TopologySpec::parse(spec);
@@ -157,23 +172,25 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.workload = *w;
-    } else if (arg == "--duration-ms" && parse_double(next(), value)) {
-      cfg.duration = static_cast<SimTime>(value * 1e9);
-    } else if (arg == "--load" && parse_double(next(), value)) {
-      cfg.best_effort_load = value;
-      cfg.enable_best_effort = value > 0;
-    } else if (arg == "--realtime" && parse_double(next(), value)) {
-      cfg.realtime_rate = value;
-      cfg.enable_realtime = value > 0;
+    } else if (arg == "--duration-ms") {
+      read(millis, cfg.duration);
+    } else if (arg == "--load") {
+      read(parse_double, cfg.best_effort_load);
+      cfg.enable_best_effort = cfg.best_effort_load > 0;
+    } else if (arg == "--realtime") {
+      read(parse_double, cfg.realtime_rate);
+      cfg.enable_realtime = cfg.realtime_rate > 0;
     } else if (arg == "--attackers") {
-      cfg.num_attackers = std::atoi(next());
-    } else if (arg == "--attack-duty" && parse_double(next(), value)) {
-      cfg.attack_probability = value;
+      read(count, cfg.num_attackers);
+    } else if (arg == "--attack-duty") {
+      read(parse_probability, cfg.attack_probability);
     } else if (arg == "--buffer-mtus") {
+      int mtus = 0;
+      read(count, mtus);
       cfg.fabric.link.buffer_bytes_per_vl =
-          static_cast<std::size_t>(std::atoi(next())) * 1088;
+          static_cast<std::size_t>(mtus) * 1088;
     } else if (arg == "--partitions") {
-      cfg.num_partitions = std::atoi(next());
+      read(count, cfg.num_partitions);
     } else if (arg == "--filter") {
       const std::string mode = next();
       if (mode == "none") cfg.fabric.filter_mode = fabric::FilterMode::kNone;
@@ -205,8 +222,8 @@ int main(int argc, char** argv) {
       else { std::fprintf(stderr, "bad --alg %s\n", alg.c_str()); return 2; }
     } else if (arg == "--replay") {
       cfg.replay_protection = true;
-    } else if (arg == "--rate-limit" && parse_double(next(), value)) {
-      cfg.fabric.ingress_rate_limit_fraction = value;
+    } else if (arg == "--rate-limit") {
+      read(parse_double, cfg.fabric.ingress_rate_limit_fraction);
     } else if (arg == "--valid-pkey-attack") {
       cfg.attack_with_valid_pkey = true;
     } else if (arg == "--attack") {
@@ -229,14 +246,14 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.fabric.fault_campaign = *campaign;
-    } else if (arg == "--rc-load" && parse_double(next(), value)) {
-      cfg.rc_load = value;
-      cfg.enable_rc_messages = value > 0;
-      cfg.rc.enabled = value > 0;
+    } else if (arg == "--rc-load") {
+      read(parse_double, cfg.rc_load);
+      cfg.enable_rc_messages = cfg.rc_load > 0;
+      cfg.rc.enabled = cfg.rc_load > 0;
     } else if (optional_path("--trace", "trace.json", chrome_trace_path)) {
       cfg.trace.enabled = true;
     } else if (arg == "--trace-sample") {
-      cfg.trace.sample_every = std::strtoull(next(), nullptr, 10);
+      read(parse_u64, cfg.trace.sample_every);
       if (cfg.trace.sample_every == 0) cfg.trace.sample_every = 1;
     } else if (arg == "--breakdown") {
       breakdown_path = next();
@@ -248,10 +265,8 @@ int main(int argc, char** argv) {
       }
     } else if (optional_path("--audit", "audit.jsonl", audit_path)) {
       cfg.audit.enabled = true;
-    } else if (arg == "--timeseries-dt" && parse_double(next(), value)) {
-      cfg.timeseries_dt = static_cast<SimTime>(value * 1000.0);  // ns -> ps
-    } else if (arg == "--packet-csv") {
-      packet_csv_path = next();
+    } else if (arg == "--timeseries-dt") {
+      read(nanos, cfg.timeseries_dt);
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {
@@ -296,16 +311,6 @@ int main(int argc, char** argv) {
   cfg.trace.sample_seed = cfg.seed;
 
   workload::Scenario scenario(cfg);
-  workload::PacketTraceRecorder trace;
-  if (!packet_csv_path.empty()) {
-    for (int node = 0; node < scenario.fabric().node_count(); ++node) {
-      scenario.ca(node).set_delivery_probe(
-          [&scenario, &trace, node](const ib::Packet& pkt) {
-            scenario.probe_delivery(node, pkt);
-            trace.record(pkt);
-          });
-    }
-  }
   const auto r = scenario.run();
   if (!metrics_path.empty()) {
     if (bench::write_metrics_file(r.obs, metrics_path)) {
@@ -314,15 +319,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "metrics: failed to write %s\n",
                    metrics_path.c_str());
-    }
-  }
-  if (!packet_csv_path.empty()) {
-    if (trace.write_csv_file(packet_csv_path)) {
-      std::printf("packet-csv: wrote %zu rows to %s\n", trace.rows().size(),
-                  packet_csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "packet-csv: failed to write %s\n",
-                   packet_csv_path.c_str());
     }
   }
   const auto write_out = [](const char* what, const std::string& path,

@@ -48,14 +48,9 @@ struct LinkParams {
 struct FabricConfig {
   LinkParams link;
 
-  /// Which topology the fabric builds (see topology_builder.h). Defaults to
-  /// the paper's mesh; fat-tree/dragonfly shape parameters live inside the
-  /// spec, mesh dimensions in mesh_width/mesh_height below (kept as direct
-  /// fields for compatibility with everything that sizes the mesh).
+  /// Which topology the fabric builds (see topology_builder.h), with every
+  /// shape parameter. Defaults to the paper's 4x4 mesh.
   TopologySpec topology;
-
-  int mesh_width = 4;
-  int mesh_height = 4;
 
   std::size_t mtu_bytes = 1024;
 
@@ -92,9 +87,7 @@ struct FabricConfig {
     return time_literals::kSecond / switch_clock_hz;
   }
 
-  int node_count() const {
-    return topology.node_count(mesh_width, mesh_height);
-  }
+  int node_count() const { return topology.node_count(); }
 };
 
 /// VL assignment used throughout the fabric (paper: separate VLs isolate

@@ -1,78 +1,47 @@
 #include "fabric/fault.h"
 
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/spec_parse.h"
 
 namespace ibsec::fabric {
-namespace {
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (!s.empty()) {
-    const std::size_t at = s.find(sep);
-    out.push_back(s.substr(0, at));
-    if (at == std::string_view::npos) break;
-    s.remove_prefix(at + 1);
-  }
-  return out;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  const std::string str(s);
-  char* end = nullptr;
-  out = std::strtod(str.c_str(), &end);
-  return end != str.c_str() && *end == '\0';
-}
-
-/// Parses "123us" (or a bare number, read as microseconds) into picoseconds.
-bool parse_time_us(std::string_view s, SimTime& out) {
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "us") {
-    s.remove_suffix(2);
-  }
-  double us = 0;
-  if (!parse_double(s, us) || us < 0) return false;
-  out = static_cast<SimTime>(us * 1e6);  // us -> ps
-  return true;
-}
-
-}  // namespace
 
 std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
   FaultCampaign campaign;
-  for (std::string_view entry : split(spec, ';')) {
+  for (std::string_view entry : split_list(spec, ';')) {
     if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = entry.substr(0, eq);
-    const std::string_view value = entry.substr(eq + 1);
-    double rate = 0;
+    std::string_view key, value;
+    if (!split_kv(entry, key, value)) return std::nullopt;
     if (key == "seed") {
-      campaign.seed = std::strtoull(std::string(value).c_str(), nullptr, 10);
-    } else if (key == "drop" && parse_double(value, rate)) {
-      campaign.default_profile.drop_rate = rate;
-    } else if (key == "corrupt" && parse_double(value, rate)) {
-      campaign.default_profile.corruption_rate = rate;
+      if (!parse_u64(value, campaign.seed)) return std::nullopt;
+    } else if (key == "drop") {
+      if (!parse_probability(value, campaign.default_profile.drop_rate)) {
+        return std::nullopt;
+      }
+    } else if (key == "corrupt") {
+      if (!parse_probability(value, campaign.default_profile.corruption_rate)) {
+        return std::nullopt;
+      }
     } else if (key == "dead-switch") {
-      campaign.dead_switches.push_back(
-          std::atoi(std::string(value).c_str()));
+      int id = 0;
+      if (!parse_int(value, id) || id < 0) return std::nullopt;
+      campaign.dead_switches.push_back(id);
     } else if (key == "link") {
       // link=<name>:<subkey>=<rate>[,<subkey>=<rate>...]
       const std::size_t colon = value.find(':');
       if (colon == std::string_view::npos) return std::nullopt;
-      const std::string name(value.substr(0, colon));
-      auto [it, inserted] =
-          campaign.link_overrides.try_emplace(name,
-                                              campaign.default_profile);
-      (void)inserted;
-      for (std::string_view sub : split(value.substr(colon + 1), ',')) {
-        const std::size_t sub_eq = sub.find('=');
-        if (sub_eq == std::string_view::npos) return std::nullopt;
-        if (!parse_double(sub.substr(sub_eq + 1), rate)) return std::nullopt;
-        if (sub.substr(0, sub_eq) == "drop") {
-          it->second.drop_rate = rate;
-        } else if (sub.substr(0, sub_eq) == "corrupt") {
-          it->second.corruption_rate = rate;
-        } else {
+      FaultProfile& profile =
+          campaign.link_overrides
+              .try_emplace(std::string(value.substr(0, colon)),
+                           campaign.default_profile)
+              .first->second;
+      for (std::string_view sub : split_list(value.substr(colon + 1), ',')) {
+        std::string_view sub_key, rate;
+        if (!split_kv(sub, sub_key, rate)) return std::nullopt;
+        if (sub_key == "drop") {
+          if (!parse_probability(rate, profile.drop_rate)) return std::nullopt;
+        } else if (sub_key != "corrupt" ||
+                   !parse_probability(rate, profile.corruption_rate)) {
           return std::nullopt;
         }
       }
@@ -80,7 +49,6 @@ std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
       // flap=<name>:<down>us-<up>us   (empty <up> = down forever)
       const std::size_t colon = value.find(':');
       if (colon == std::string_view::npos) return std::nullopt;
-      const std::string name(value.substr(0, colon));
       const std::string_view window = value.substr(colon + 1);
       const std::size_t dash = window.find('-');
       if (dash == std::string_view::npos) return std::nullopt;
@@ -89,13 +57,10 @@ std::optional<FaultCampaign> FaultCampaign::parse(std::string_view spec) {
         return std::nullopt;
       }
       const std::string_view up = window.substr(dash + 1);
-      if (up.empty()) {
-        flap.up_at = -1;
-      } else if (!parse_time_us(up, flap.up_at)) {
-        return std::nullopt;
-      }
+      if (!up.empty() && !parse_time_us(up, flap.up_at)) return std::nullopt;
       campaign.link_overrides
-          .try_emplace(name, campaign.default_profile)
+          .try_emplace(std::string(value.substr(0, colon)),
+                       campaign.default_profile)
           .first->second.flaps.push_back(flap);
     } else {
       return std::nullopt;

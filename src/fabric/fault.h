@@ -73,7 +73,11 @@ struct FaultCampaign {
   ///   link=sw1.out3:drop=0.5      per-link override (subkeys drop/corrupt)
   ///   flap=sw1.out3:100us-300us   outage window on one link (us; -=forever)
   ///   dead-switch=5               switch 5 drops everything
-  /// Returns nullopt on a malformed spec.
+  /// Returns nullopt on a malformed spec: an unknown key, a value that is not
+  /// wholly a number, a rate outside [0, 1], a negative switch id, or a time
+  /// that is negative or past SimTime's range. Link names and switch ids are
+  /// checked against the built topology by Fabric, which fails loudly on one
+  /// it lacks.
   static std::optional<FaultCampaign> parse(std::string_view spec);
 
   /// One-line human-readable summary for experiment banners.

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "common/annotations.h"
+#include "common/check.h"
 
 namespace ibsec::fabric {
 namespace {
@@ -183,7 +184,9 @@ IBSEC_HOT void Switch::packet_arrived(ib::Packet&& pkt, int in_port) {
       return;
     }
     obs_.forwarded->inc();
-    slot->refresh_vcrc();
+    // Nothing rewrites the packet between the arrival check and here, so the
+    // VCRC verified on arrival still holds for the next hop.
+    IBSEC_DCHECK(slot->vcrc_valid());
 
     // Hold input-buffer bytes until the packet starts on the output wire;
     // the release triggers the upstream credit return.

@@ -74,14 +74,18 @@ void Fabric::connect_switches(int a, int port_a, int b, int port_b) {
 void Fabric::apply_fault_campaign() {
   const FaultCampaign& campaign = config_.fault_campaign;
   for (const auto& [name, profile] : campaign.link_overrides) {
-    if (OutputPort* port = find_output_port(name)) {
-      port->set_fault_profile(profile);
-    }
+    OutputPort* port = find_output_port(name);
+    IBSEC_CHECK(port != nullptr)
+        << "fault campaign names link " << name << ", which "
+        << config_.topology.to_string() << " does not have";
+    if (port != nullptr) port->set_fault_profile(profile);
   }
   for (int id : campaign.dead_switches) {
-    if (id >= 0 && id < static_cast<int>(switches_.size())) {
-      switches_[static_cast<std::size_t>(id)]->set_dead(true);
-    }
+    const bool exists = id >= 0 && id < static_cast<int>(switches_.size());
+    IBSEC_CHECK(exists) << "fault campaign names dead-switch " << id << ", but "
+                        << config_.topology.to_string() << " has "
+                        << switches_.size() << " switches";
+    if (exists) switches_[static_cast<std::size_t>(id)]->set_dead(true);
   }
 }
 

@@ -75,7 +75,8 @@ class Fabric {
   void build();
   void connect_switches(int a, int port_a, int b, int port_b);
   /// Applies config_.fault_campaign's per-link overrides and dead switches
-  /// to the constructed topology.
+  /// to the constructed topology; IBSEC_CHECK-fails on a link or switch the
+  /// topology lacks, so a typo never runs a fault-free experiment.
   void apply_fault_campaign();
 
   FabricConfig config_;

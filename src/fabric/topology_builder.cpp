@@ -16,9 +16,8 @@ constexpr int kEast = 1, kWest = 2, kNorth = 3, kSouth = 4;
 constexpr int kMeshRadix = 5;
 
 TopologyBlueprint build_mesh(const FabricConfig& cfg) {
-  const TopologySpec& spec = cfg.topology;
-  const int w = spec.mesh_width > 0 ? spec.mesh_width : cfg.mesh_width;
-  const int h = spec.mesh_height > 0 ? spec.mesh_height : cfg.mesh_height;
+  const int w = cfg.topology.mesh_width;
+  const int h = cfg.topology.mesh_height;
   IBSEC_CHECK(w >= 1 && h >= 1) << "mesh dims " << w << "x" << h;
   const int n = w * h;
 

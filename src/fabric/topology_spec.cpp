@@ -1,55 +1,10 @@
 #include "fabric/topology_spec.h"
 
-#include <charconv>
 #include <cstdio>
-#include <vector>
+
+#include "common/spec_parse.h"
 
 namespace ibsec::fabric {
-
-namespace {
-
-bool parse_int(std::string_view text, int& out) {
-  int value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) return false;
-  out = value;
-  return true;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const std::size_t pos = text.find(sep);
-    if (pos == std::string_view::npos) {
-      parts.push_back(text);
-      return parts;
-    }
-    parts.push_back(text.substr(0, pos));
-    text.remove_prefix(pos + 1);
-  }
-}
-
-/// Splits "key=value"; false when there is no '='.
-bool split_kv(std::string_view token, std::string_view& key,
-              std::string_view& value) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string_view::npos) return false;
-  key = token.substr(0, eq);
-  value = token.substr(eq + 1);
-  return true;
-}
-
-}  // namespace
 
 const char* to_string(TopologyKind kind) {
   switch (kind) {
@@ -63,13 +18,10 @@ const char* to_string(TopologyKind kind) {
   return "?";
 }
 
-int TopologySpec::node_count(int fallback_w, int fallback_h) const {
+int TopologySpec::node_count() const {
   switch (kind) {
-    case TopologyKind::kMesh: {
-      const int w = mesh_width > 0 ? mesh_width : fallback_w;
-      const int h = mesh_height > 0 ? mesh_height : fallback_h;
-      return w * h;
-    }
+    case TopologyKind::kMesh:
+      return mesh_width * mesh_height;
     case TopologyKind::kFatTree:
       return fattree_k * fattree_k * fattree_k / 4;
     case TopologyKind::kDragonfly:
@@ -97,9 +49,7 @@ std::optional<TopologySpec> TopologySpec::parse(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  if (params.empty()) return spec;
-
-  for (std::string_view token : split(params, ',')) {
+  for (std::string_view token : split_list(params, ',')) {
     if (token.empty()) return std::nullopt;
     std::string_view key, value;
     if (!split_kv(token, key, value)) {
@@ -169,11 +119,7 @@ std::string TopologySpec::to_string() const {
   char buf[160];
   switch (kind) {
     case TopologyKind::kMesh:
-      if (mesh_width > 0 && mesh_height > 0) {
-        std::snprintf(buf, sizeof(buf), "mesh:%dx%d", mesh_width, mesh_height);
-      } else {
-        std::snprintf(buf, sizeof(buf), "mesh");
-      }
+      std::snprintf(buf, sizeof(buf), "mesh:%dx%d", mesh_width, mesh_height);
       break;
     case TopologyKind::kFatTree:
       std::snprintf(buf, sizeof(buf), "fattree:k=%d", fattree_k);
@@ -188,17 +134,14 @@ std::string TopologySpec::to_string() const {
   return buf;
 }
 
-std::string TopologySpec::describe(int fallback_w, int fallback_h) const {
+std::string TopologySpec::describe() const {
   char buf[200];
-  const int hosts = node_count(fallback_w, fallback_h);
+  const int hosts = node_count();
   switch (kind) {
-    case TopologyKind::kMesh: {
-      const int w = mesh_width > 0 ? mesh_width : fallback_w;
-      const int h = mesh_height > 0 ? mesh_height : fallback_h;
-      std::snprintf(buf, sizeof(buf), "%dx%d mesh (%d hosts, %d switches)", w,
-                    h, hosts, hosts);
+    case TopologyKind::kMesh:
+      std::snprintf(buf, sizeof(buf), "%dx%d mesh (%d hosts, %d switches)",
+                    mesh_width, mesh_height, hosts, hosts);
       break;
-    }
     case TopologyKind::kFatTree: {
       const int half = fattree_k / 2;
       std::snprintf(buf, sizeof(buf),

@@ -32,11 +32,9 @@ enum class DragonflyRouting : std::uint8_t {
 struct TopologySpec {
   TopologyKind kind = TopologyKind::kMesh;
 
-  /// Mesh dimensions carried by a "mesh:WxH" spec string; 0 means "keep the
-  /// FabricConfig::mesh_width/mesh_height fields" (the pre-topology-layer
-  /// way every existing test sizes the mesh).
-  int mesh_width = 0;
-  int mesh_height = 0;
+  /// Mesh dimensions (the paper's testbed is 4x4).
+  int mesh_width = 4;
+  int mesh_height = 4;
 
   /// Fat-tree arity (must be even, >= 2): k pods of k/2 edge + k/2
   /// aggregation switches, (k/2)^2 cores, k^3/4 hosts, radix k everywhere.
@@ -60,13 +58,13 @@ struct TopologySpec {
     return df_groups > 0 ? df_groups : df_routers * df_globals + 1;
   }
 
-  /// Host count implied by the spec; mesh uses the fallback dimensions for
-  /// zero fields (see mesh_width above).
-  int node_count(int fallback_w, int fallback_h) const;
+  /// Host count implied by the spec.
+  int node_count() const;
 
   /// Grammar: "mesh[:WxH]" | "fattree:k=K" | "dragonfly:a=A,p=P,h=H[,g=G]
   /// [,routing=minimal|valiant]"; every kind accepts a trailing ",seed=N".
-  /// Returns nullopt on any unrecognized kind, key, or malformed value.
+  /// Omitted parameters keep their defaults. Returns nullopt on any
+  /// unrecognized kind, key, empty item, or malformed value.
   static std::optional<TopologySpec> parse(std::string_view text);
 
   /// Canonical spec string (parse(to_string()) is the identity).
@@ -74,7 +72,7 @@ struct TopologySpec {
 
   /// Human-readable shape line for banners, e.g.
   /// "fat-tree k=4 (16 hosts, 20 switches, radix 4)".
-  std::string describe(int fallback_w, int fallback_h) const;
+  std::string describe() const;
 };
 
 }  // namespace ibsec::fabric

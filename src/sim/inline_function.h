@@ -74,10 +74,12 @@ class InlineFunction<R(Args...), InlineBytes> {
     using D = std::decay_t<F>;
     reset();
     if constexpr (fits_inline<F>()) {
+      clear_tail<std::is_empty_v<D> ? 0 : sizeof(D)>();
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       ops_ = inline_ops<D>();
     } else {
       // Oversized capture: one owned heap cell, pointer kept in the buffer.
+      clear_tail<sizeof(D*)>();
       ::new (static_cast<void*>(storage_))
           D*(new D(std::forward<F>(f)));
       ops_ = heap_ops<D>();
@@ -180,14 +182,22 @@ class InlineFunction<R(Args...), InlineBytes> {
     if (ops_ != nullptr) {
       if (ops_->trivially_relocatable) {
         // Fixed-size copy of the whole buffer: a handful of vector moves,
-        // no indirect call. Copying past the callable's size is fine — the
-        // trailing bytes are never interpreted.
+        // no indirect call. The bytes past the callable are never
+        // interpreted; emplace() zeroed them so they are not read
+        // uninitialized.
         std::memcpy(storage_, other.storage_, InlineBytes);
       } else {
         ops_->relocate(storage_, other.storage_);
       }
       other.ops_ = nullptr;
     }
+  }
+
+  /// Zeroes the buffer past the first `Used` bytes (an empty callable writes
+  /// none), so move_from()'s whole-buffer copy reads only written bytes.
+  template <std::size_t Used>
+  void clear_tail() noexcept {
+    std::memset(storage_ + Used, 0, InlineBytes - Used);
   }
 
   void reset() noexcept {

@@ -3,56 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/check.h"
+#include "common/spec_parse.h"
 
 namespace ibsec::workload {
 
 namespace {
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (!s.empty()) {
-    const std::size_t at = s.find(sep);
-    out.push_back(s.substr(0, at));
-    if (at == std::string_view::npos) break;
-    s.remove_prefix(at + 1);
-  }
-  return out;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  const std::string str(s);
-  char* end = nullptr;
-  out = std::strtoull(str.c_str(), &end, 10);
-  return end != str.c_str() && *end == '\0';
-}
-
-bool parse_int(std::string_view s, int& out) {
-  if (s.empty()) return false;
-  const std::string str(s);
-  char* end = nullptr;
-  out = static_cast<int>(std::strtol(str.c_str(), &end, 10));
-  return end != str.c_str() && *end == '\0';
-}
-
-/// Parses "123us" (or a bare number, read as microseconds) into picoseconds.
-bool parse_time_us(std::string_view s, SimTime& out) {
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "us") {
-    s.remove_suffix(2);
-  }
-  const std::string str(s);
-  char* end = nullptr;
-  const double us = std::strtod(str.c_str(), &end);
-  if (end == str.c_str() || *end != '\0') return false;
-  // !(us >= 0) also rejects NaN; the upper bound keeps the ps conversion
-  // inside SimTime (int64) — casting an overflowing double is UB.
-  if (!(us >= 0) || us > 9.0e12) return false;
-  out = static_cast<SimTime>(us * 1e6);  // us -> ps
-  return true;
-}
 
 bool kind_from_name(std::string_view name, AttackKind& out) {
   if (name == "scan") out = AttackKind::kScan;
@@ -112,12 +69,10 @@ const char* to_string(AttackKind kind) {
 std::optional<AttackCampaignSpec> AttackCampaignSpec::parse(
     std::string_view spec) {
   AttackCampaignSpec out;
-  for (std::string_view entry : split(spec, ';')) {
+  for (std::string_view entry : split_list(spec, ';')) {
     if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    const std::string_view key = entry.substr(0, eq);
-    const std::string_view value = entry.substr(eq + 1);
+    std::string_view key, value;
+    if (!split_kv(entry, key, value)) return std::nullopt;
     if (key == "seed") {
       if (!parse_u64(value, out.seed)) return std::nullopt;
     } else if (key == "attack") {
@@ -127,16 +82,14 @@ std::optional<AttackCampaignSpec> AttackCampaignSpec::parse(
         return std::nullopt;
       }
       if (colon != std::string_view::npos) {
-        for (std::string_view sub : split(value.substr(colon + 1), ',')) {
-          const std::size_t sub_eq = sub.find('=');
-          if (sub_eq == std::string_view::npos) return std::nullopt;
-          const std::string_view k = sub.substr(0, sub_eq);
-          const std::string_view v = sub.substr(sub_eq + 1);
+        for (std::string_view sub : split_list(value.substr(colon + 1), ',')) {
+          std::string_view k, v;
+          if (!split_kv(sub, k, v)) return std::nullopt;
           std::uint64_t u = 0;
           if (k == "node") {
-            if (!parse_int(v, a.node)) return std::nullopt;
+            if (!parse_int(v, a.node) || a.node < -1) return std::nullopt;
           } else if (k == "victim") {
-            if (!parse_int(v, a.victim)) return std::nullopt;
+            if (!parse_int(v, a.victim) || a.victim < -1) return std::nullopt;
           } else if (k == "count") {
             if (!parse_u64(v, a.count)) return std::nullopt;
           } else if (k == "interval") {
@@ -538,11 +491,8 @@ class SideChannelCampaign final : public AttackCampaign {
     IBSEC_CHECK(cfg.topology.kind == fabric::TopologyKind::kMesh)
         << "side-channel campaign needs a mesh topology, got "
         << cfg.topology.to_string();
-    // Effective dims: a "mesh:WxH" spec overrides the legacy config fields.
-    const int w = cfg.topology.mesh_width > 0 ? cfg.topology.mesh_width
-                                              : cfg.mesh_width;
-    const int h = cfg.topology.mesh_height > 0 ? cfg.topology.mesh_height
-                                               : cfg.mesh_height;
+    const int w = cfg.topology.mesh_width;
+    const int h = cfg.topology.mesh_height;
     IBSEC_CHECK(w >= 3 && h >= 2) << "side-channel campaign needs a mesh";
 
     // Victim: any honest node that is not at the east end of its row (its
@@ -752,7 +702,14 @@ AttackCampaignSet::AttackCampaignSet(const AttackCampaignSpec& spec,
     : ctx_(std::move(ctx)) {
   Rng root(spec.seed);
   std::uint16_t id = 1;
+  const int nodes = ctx_.fabric->node_count();
   for (const AttackSpec& a : spec.attacks) {
+    const bool in_fabric = a.node < nodes && a.victim < nodes;
+    IBSEC_CHECK(in_fabric) << "attack=" << workload::to_string(a.kind)
+                           << " names node " << a.node << ", victim "
+                           << a.victim << ", but the fabric has " << nodes
+                           << " nodes";
+    if (!in_fabric) continue;
     switch (a.kind) {
       case AttackKind::kScan:
         campaigns_.push_back(

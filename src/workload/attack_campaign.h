@@ -104,7 +104,9 @@ struct AttackCampaignSpec {
   /// kinds: scan | trap-forge | rc-spoof | replay | side-channel
   /// subkeys: node=N victim=N count=N interval=<T>us keyspace=N
   ///          qpn-range=N epochs=N
-  /// Returns nullopt on a malformed spec (unknown kind/key, bad number).
+  /// Returns nullopt on a malformed spec (unknown kind/key, bad number, a
+  /// node or victim below -1). A node or victim the fabric lacks fails
+  /// loudly when the AttackCampaignSet is built.
   static std::optional<AttackCampaignSpec> parse(std::string_view spec);
 
   /// Canonical full-form spec string; parse(to_string()) == *this.

@@ -188,16 +188,14 @@ class Scenario {
   AttackCampaignSet* campaigns() { return campaigns_.get(); }
   /// The collective workload, or nullptr when config.workload is empty.
   CollectiveWorkload* collective() { return collective_.get(); }
-  /// The standard delivery-probe body: metrics + campaign dispatch. Callers
-  /// replacing the per-CA probe (run_experiment's packet CSV) forward here
-  /// so campaign success accounting survives the override.
+
+ private:
+  /// Every CA's delivery probe: metrics + campaign/collective dispatch.
   void probe_delivery(int node, const ib::Packet& pkt) {
     metrics_.record(pkt);
     if (campaigns_) campaigns_->on_delivered(node, pkt);
     if (collective_) collective_->on_delivered(node, pkt);
   }
-
- private:
   void build();
   void build_partitions(Rng& rng);
   void build_security();

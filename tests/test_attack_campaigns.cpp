@@ -92,10 +92,30 @@ TEST(AttackSpecGrammar, MalformedSpecsRejected) {
       "attack=scan:interval=infus",     // infinity
       "attack=scan:interval=1e14us",    // ps conversion would overflow
       "attack=scan:node",               // subkey without '='
+      "attack=scan:node=4294967297",    // int overflow, not node 1
+      "attack=scan:victim=-2147483649", // int overflow
+      "attack=scan:count=18446744073709551616",  // u64 overflow
+      "seed= 5",                        // leading whitespace
+      "attack=scan:node=+3",            // explicit '+'
+      "attack=scan:count=5,",           // trailing empty item
+      "attack=scan:node=-2",            // below the -1 "pick one" default
+      "attack=trap-forge:victim=-7",
   };
   for (const char* bad : kBad) {
     EXPECT_FALSE(AttackCampaignSpec::parse(bad).has_value()) << bad;
   }
+}
+
+// A node or victim the fabric lacks stops the scenario build loudly instead
+// of indexing past the fabric's CAs.
+TEST(AttackSpecGrammarDeathTest, NodeOutsideFabricFailsScenarioBuild) {
+  const auto build = [](const char* spec) {
+    ScenarioConfig cfg;  // the 4x4 mesh: nodes 0..15
+    cfg.attack = attack_spec(spec);
+    Scenario scenario(cfg);
+  };
+  EXPECT_DEATH(build("attack=scan:node=99"), "names node 99.*16 nodes");
+  EXPECT_DEATH(build("attack=trap-forge:victim=16"), "victim 16");
 }
 
 // --- corpus configs ----------------------------------------------------------
@@ -620,8 +640,8 @@ TEST(AttackForensics, ReplayIncidentIsFlaggedNotMisattributed) {
 struct RcAdversarialLoad : public ::testing::Test {
   void build(bool validate_control, std::string_view faults = "") {
     fabric::FabricConfig fcfg;
-    fcfg.mesh_width = 2;
-    fcfg.mesh_height = 1;
+    fcfg.topology.mesh_width = 2;
+    fcfg.topology.mesh_height = 1;
     if (!faults.empty()) {
       auto campaign = fabric::FaultCampaign::parse(faults);
       ASSERT_TRUE(campaign.has_value());

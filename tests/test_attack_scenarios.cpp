@@ -34,8 +34,8 @@ struct AttackFixture : public ::testing::Test {
 
   AttackFixture() {
     fabric::FabricConfig cfg;
-    cfg.mesh_width = 2;
-    cfg.mesh_height = 2;
+    cfg.topology.mesh_width = 2;
+    cfg.topology.mesh_height = 2;
     fabric = std::make_unique<fabric::Fabric>(cfg);
     for (int node = 0; node < 4; ++node) {
       cas.push_back(std::make_unique<ChannelAdapter>(*fabric, node, pki, 55,

@@ -156,7 +156,9 @@ TEST(CollectiveSchedule, SpecParseRoundTrips) {
   }
   for (const char* text :
        {"allgather", "allreduce:algo=tree", "alltoall:bytes=0",
-        "incast:target=-1", "alltoall:junk"}) {
+        "incast:target=-1", "alltoall:junk", "alltoall:bytes=12x",
+        "alltoall:rounds=99999999999", "alltoall:bytes=64,",
+        "alltoall:,bytes=64"}) {
     EXPECT_FALSE(WorkloadSpec::parse(text).has_value()) << text;
   }
 }

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/hex.h"
 #include "common/rng.h"
+#include "common/spec_parse.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "common/time.h"
@@ -227,6 +228,58 @@ TEST(Hex, AsciiBytes) {
   ASSERT_EQ(bytes.size(), 3u);
   EXPECT_EQ(bytes[0], 'a');
   EXPECT_EQ(bytes[2], 'c');
+}
+
+TEST(SpecParse, NumbersMustBeWholeFiniteTokens) {
+  int i = 7;
+  EXPECT_TRUE(parse_int("-12", i));
+  EXPECT_EQ(i, -12);
+  for (const char* bad : {"", "12x", " 1", "+1", "1.0", "4294967297"}) {
+    EXPECT_FALSE(parse_int(bad, i)) << bad;
+  }
+  EXPECT_EQ(i, -12);  // failures leave the output untouched
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", u));
+  EXPECT_EQ(u, 18446744073709551615u);
+  for (const char* bad : {"-1", "18446744073709551616", "0x10", "abc"}) {
+    EXPECT_FALSE(parse_u64(bad, u)) << bad;
+  }
+
+  double d = 0;
+  EXPECT_TRUE(parse_double("2.5e-3", d));
+  EXPECT_EQ(d, 2.5e-3);
+  for (const char* bad : {"nan", "inf", "-inf", "1e400", "0.5x", ""}) {
+    EXPECT_FALSE(parse_double(bad, d)) << bad;
+  }
+  EXPECT_TRUE(parse_probability("1", d));
+  EXPECT_FALSE(parse_probability("1.5", d));
+  EXPECT_FALSE(parse_probability("-0.1", d));
+}
+
+TEST(SpecParse, TimesStayInsideSimTime) {
+  SimTime t = 0;
+  EXPECT_TRUE(parse_time_us("2.5us", t));
+  EXPECT_EQ(t, 2'500'000);
+  EXPECT_TRUE(parse_time_us("300", t));
+  EXPECT_EQ(t, 300 * time_literals::kMicrosecond);
+  EXPECT_TRUE(parse_time("5", 1e9, t));  // ms
+  EXPECT_EQ(t, 5 * time_literals::kMillisecond);
+  for (const char* bad : {"-5us", "us", "1e300us", "9.1e12us", "nanus"}) {
+    EXPECT_FALSE(parse_time_us(bad, t)) << bad;
+  }
+}
+
+TEST(SpecParse, SplitKeepsEmptyItemsForTheGrammarToJudge) {
+  using Items = std::vector<std::string_view>;
+  EXPECT_EQ(split_list("", ','), Items{});
+  EXPECT_EQ(split_list("a", ','), Items{"a"});
+  EXPECT_EQ(split_list("a,,b,", ','), (Items{"a", "", "b", ""}));
+  std::string_view key, value;
+  EXPECT_TRUE(split_kv("k=v=w", key, value));
+  EXPECT_EQ(key, "k");
+  EXPECT_EQ(value, "v=w");
+  EXPECT_FALSE(split_kv("kv", key, value));
 }
 
 TEST(SimTime, SerializationTimeExact) {

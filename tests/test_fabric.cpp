@@ -36,8 +36,8 @@ ib::Packet make_packet(Fabric& fabric, int src, int dst,
 
 FabricConfig small_config(int w, int h) {
   FabricConfig cfg;
-  cfg.mesh_width = w;
-  cfg.mesh_height = h;
+  cfg.topology.mesh_width = w;
+  cfg.topology.mesh_height = h;
   return cfg;
 }
 

@@ -1,6 +1,8 @@
 // Failure injection: random wire corruption is caught by the VCRC at every
 // hop (including the final switch->HCA link), no corrupted payload ever
-// reaches an application, and the fabric's loss accounting balances.
+// reaches an application, and the fabric's loss accounting balances. Also
+// the --faults grammar: valid specs parse to what they say, malformed ones
+// and names the built topology lacks are rejected.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -13,8 +15,8 @@ using namespace ibsec::time_literals;
 
 TEST(FaultInjection, PerfectLinksByDefault) {
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   Fabric fabric(cfg);
   int received = 0;
   fabric.hca(1).set_receive_callback([&](ib::Packet&&) { ++received; });
@@ -39,8 +41,8 @@ TEST(FaultInjection, PerfectLinksByDefault) {
 
 TEST(FaultInjection, CorruptionCaughtAndAccounted) {
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   cfg.link.faults.corruption_rate = 0.2;
   Fabric fabric(cfg);
 
@@ -120,6 +122,62 @@ TEST(FaultInjection, DeterministicGivenSeed) {
     return scenario.run().delivered;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(FaultSpec, DocumentedSpecParses) {
+  const auto campaign = FaultCampaign::parse(
+      "seed=42;drop=0.01;corrupt=0.005;link=sw1.out3:drop=0.5;"
+      "flap=sw1.out3:100us-300us;flap=sw2.out1:2.5us-;dead-switch=5");
+  ASSERT_TRUE(campaign.has_value());
+  EXPECT_EQ(campaign->seed, 42u);
+  EXPECT_EQ(campaign->default_profile.drop_rate, 0.01);
+  EXPECT_EQ(campaign->default_profile.corruption_rate, 0.005);
+  const FaultProfile& link = campaign->link_overrides.at("sw1.out3");
+  EXPECT_EQ(link.drop_rate, 0.5);
+  EXPECT_EQ(link.corruption_rate, 0.005);  // snapshot of the defaults
+  ASSERT_EQ(link.flaps.size(), 1u);
+  EXPECT_EQ(link.flaps[0].down_at, 100 * kMicrosecond);
+  EXPECT_EQ(link.flaps[0].up_at, 300 * kMicrosecond);
+  const FaultProfile& forever = campaign->link_overrides.at("sw2.out1");
+  ASSERT_EQ(forever.flaps.size(), 1u);
+  EXPECT_EQ(forever.flaps[0].down_at, 2'500'000);
+  EXPECT_EQ(forever.flaps[0].up_at, -1);
+  EXPECT_EQ(campaign->dead_switches, std::vector<int>{5});
+  EXPECT_TRUE(FaultCampaign::parse(";;drop=1;").has_value());
+}
+
+TEST(FaultSpec, MalformedSpecsRejected) {
+  for (const char* bad : {
+           "bogus",                        // entry without '='
+           "noise=1",                      // unknown key
+           "seed=abc", "seed=-1", "seed=12x",
+           "dead-switch=abc", "dead-switch=-1", "dead-switch=",
+           "drop=nan", "drop=inf", "drop=1.5", "drop=-0.1", "corrupt=2",
+           "link=sw0.out1:drop=1.5",       // rate outside [0, 1]
+           "link=sw0.out1:drop=",          // empty value
+           "link=sw0.out1:drop=0.1,",      // trailing empty item
+           "link=sw0.out1:jitter=0.1",     // unknown subkey
+           "link=sw0.out1",                // no ':'
+           "flap=sw0.out1:1e300us-",       // ps conversion would overflow
+           "flap=sw0.out1:nanus-", "flap=sw0.out1:5us-1e14us",
+           "flap=sw0.out1:-5us-", "flap=sw0.out1:5us",
+       }) {
+    EXPECT_FALSE(FaultCampaign::parse(bad).has_value()) << bad;
+  }
+}
+
+// A link or switch the built topology lacks fails the build loudly instead
+// of running the experiment without that fault.
+TEST(FaultSpecDeathTest, UnknownLinkOrSwitchFailsFabricBuild) {
+  const auto build = [](const char* spec) {
+    FabricConfig cfg;  // the 4x4 mesh: sw0..sw15
+    cfg.fault_campaign = FaultCampaign::parse(spec).value();
+    Fabric fabric(cfg);
+  };
+  EXPECT_DEATH(build("link=nosuchlink:drop=1"), "link nosuchlink");
+  EXPECT_DEATH(build("flap=sw99.out1:5us-"), "link sw99.out1");
+  EXPECT_DEATH(build("dead-switch=99"), "dead-switch 99.*16 switches");
+  build("link=sw15.out2:drop=1;dead-switch=15");  // the last ones exist
 }
 
 }  // namespace

@@ -120,8 +120,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MadFuzz, ::testing::Values(7, 8));
 struct RcControlFuzz : public ::testing::Test {
   RcControlFuzz() {
     fabric::FabricConfig fcfg;
-    fcfg.mesh_width = 2;
-    fcfg.mesh_height = 1;
+    fcfg.topology.mesh_width = 2;
+    fcfg.topology.mesh_height = 1;
     fabric = std::make_unique<fabric::Fabric>(fcfg);
     transport::RcConfig rc;
     rc.enabled = true;

@@ -14,8 +14,8 @@ namespace {
 struct MessageFixture : public ::testing::Test {
   MessageFixture() {
     fabric::FabricConfig fcfg;
-    fcfg.mesh_width = 2;
-    fcfg.mesh_height = 1;
+    fcfg.topology.mesh_width = 2;
+    fcfg.topology.mesh_height = 1;
     fabric = std::make_unique<fabric::Fabric>(fcfg);
     for (int node = 0; node < 2; ++node) {
       cas.push_back(std::make_unique<ChannelAdapter>(*fabric, node, pki, 31,

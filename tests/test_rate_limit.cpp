@@ -48,8 +48,8 @@ TEST(TokenBucket, TimeNeverRunsBackward) {
 
 TEST(IngressRateLimit, CapsASingleNodeFlood) {
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   cfg.ingress_rate_limit_fraction = 0.5;
   cfg.ingress_rate_limit_burst = 2176;
   Fabric fabric(cfg);
@@ -80,8 +80,8 @@ TEST(IngressRateLimit, CapsASingleNodeFlood) {
 
 TEST(IngressRateLimit, ManagementVlExempt) {
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   cfg.ingress_rate_limit_fraction = 0.01;  // drastic cap
   cfg.ingress_rate_limit_burst = 1100;
   Fabric fabric(cfg);
@@ -105,8 +105,8 @@ TEST(IngressRateLimit, ManagementVlExempt) {
 
 TEST(IngressRateLimit, DisabledByDefault) {
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   Fabric fabric(cfg);
   int received = 0;
   fabric.hca(1).set_receive_callback([&](ib::Packet&&) { ++received; });

@@ -40,8 +40,8 @@ struct RcFixture : public ::testing::Test {
   void build(const std::string& fault_spec, RcConfig rc = test_rc_config(),
              std::uint64_t seed = 31) {
     fabric::FabricConfig fcfg;
-    fcfg.mesh_width = 2;
-    fcfg.mesh_height = 1;
+    fcfg.topology.mesh_width = 2;
+    fcfg.topology.mesh_height = 1;
     if (!fault_spec.empty()) {
       const auto campaign = fabric::FaultCampaign::parse(fault_spec);
       ASSERT_TRUE(campaign.has_value()) << fault_spec;

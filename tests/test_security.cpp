@@ -20,8 +20,8 @@ using transport::ServiceType;
 struct SecurityFixture : public ::testing::Test {
   SecurityFixture() {
     fabric::FabricConfig cfg;
-    cfg.mesh_width = 2;
-    cfg.mesh_height = 2;
+    cfg.topology.mesh_width = 2;
+    cfg.topology.mesh_height = 2;
     fabric = std::make_unique<fabric::Fabric>(cfg);
     for (int node = 0; node < 4; ++node) {
       cas.push_back(std::make_unique<ChannelAdapter>(*fabric, node, pki, 77,

@@ -29,8 +29,8 @@ class MeshSizeSweep
 TEST_P(MeshSizeSweep, AllPairsReachable) {
   const auto [w, h] = GetParam();
   FabricConfig cfg;
-  cfg.mesh_width = w;
-  cfg.mesh_height = h;
+  cfg.topology.mesh_width = w;
+  cfg.topology.mesh_height = h;
   Fabric fabric(cfg);
   const int n = fabric.node_count();
 
@@ -72,8 +72,8 @@ TEST(Topology, SelfAddressedPacketsAreNotHairpinned) {
   // guard rejects. (Real HCAs loop such traffic back internally without
   // touching the link.)
   FabricConfig cfg;
-  cfg.mesh_width = 1;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 1;
+  cfg.topology.mesh_height = 1;
   Fabric fabric(cfg);
   EXPECT_EQ(fabric.node_count(), 1);
   int received = 0;
@@ -89,8 +89,8 @@ TEST(Topology, SelfAddressedPacketsAreNotHairpinned) {
 TEST(Topology, ScenarioRunsOnLargeMesh) {
   workload::ScenarioConfig cfg;
   cfg.seed = 3;
-  cfg.fabric.mesh_width = 8;
-  cfg.fabric.mesh_height = 8;  // 64 nodes
+  cfg.fabric.topology.mesh_width = 8;
+  cfg.fabric.topology.mesh_height = 8;  // 64 nodes
   cfg.num_partitions = 8;
   cfg.enable_realtime = false;
   cfg.best_effort_load = 0.3;
@@ -108,8 +108,8 @@ TEST(Topology, ScenarioRunsOnLargeMesh) {
 TEST(Topology, ScenarioRunsOnLinearArray) {
   workload::ScenarioConfig cfg;
   cfg.seed = 4;
-  cfg.fabric.mesh_width = 8;
-  cfg.fabric.mesh_height = 1;
+  cfg.fabric.topology.mesh_width = 8;
+  cfg.fabric.topology.mesh_height = 1;
   cfg.num_partitions = 2;
   cfg.enable_realtime = false;
   cfg.best_effort_load = 0.3;
@@ -124,8 +124,8 @@ TEST(Topology, ScenarioRunsOnLinearArray) {
 
 TEST(Topology, LidMappingBijective) {
   FabricConfig cfg;
-  cfg.mesh_width = 5;
-  cfg.mesh_height = 3;
+  cfg.topology.mesh_width = 5;
+  cfg.topology.mesh_height = 3;
   Fabric fabric(cfg);
   for (int node = 0; node < fabric.node_count(); ++node) {
     EXPECT_EQ(fabric.node_of_lid(fabric.lid_of_node(node)), node);

@@ -218,6 +218,14 @@ struct DragonflyShape {
   DragonflyRouting routing;
 };
 
+// Name each case by its shape, e.g. "a2p2h1g3_minimal": the default printer
+// dumps the struct's padding bytes, which made the ctest names differ on
+// every build.
+void PrintTo(const DragonflyShape& s, std::ostream* os) {
+  *os << 'a' << s.a << 'p' << s.p << 'h' << s.h << 'g' << s.g << '_'
+      << (s.routing == DragonflyRouting::kValiant ? "valiant" : "minimal");
+}
+
 class DragonflySweep : public ::testing::TestWithParam<DragonflyShape> {};
 
 TEST_P(DragonflySweep, BlueprintProperties) {
@@ -305,8 +313,8 @@ TEST(MeshBlueprint, MatchesLegacyContract) {
   // The mesh is now just one builder among three; its blueprint must keep
   // the legacy 1:1 node<->switch, ingress-port-0 shape.
   FabricConfig cfg;
-  cfg.mesh_width = 5;
-  cfg.mesh_height = 3;
+  cfg.topology.mesh_width = 5;
+  cfg.topology.mesh_height = 3;
   const TopologyBlueprint bp = build_topology(cfg);
   EXPECT_EQ(bp.num_nodes, 15);
   EXPECT_EQ(bp.num_switches, 15);
@@ -331,6 +339,8 @@ TEST(TopologySpec, ParseRoundTrips) {
     ASSERT_TRUE(again.has_value()) << spec->to_string();
     EXPECT_EQ(again->to_string(), spec->to_string());
   }
+  // A bare kind keeps every default: "mesh" is the paper's 4x4.
+  EXPECT_EQ(TopologySpec::parse("mesh")->to_string(), "mesh:4x4");
 }
 
 TEST(TopologySpec, ParseRejectsMalformedSpecs) {
@@ -338,7 +348,8 @@ TEST(TopologySpec, ParseRejectsMalformedSpecs) {
        {"torus:4x4", "fattree:k=3", "fattree:k=0", "fattree:q=4",
         "dragonfly:a=2,p=2,h=1,g=99",  // g-1 > a*h: not enough global ports
         "dragonfly:a=2,p=2,h=1,g=1", "dragonfly:a=2,p=2,h=1,routing=ugal",
-        "mesh:0x4", "mesh:4x", "mesh:k=4", ""}) {
+        "mesh:0x4", "mesh:4x", "mesh:k=4", "", "mesh:4x4,", "fattree:k=4x",
+        "fattree:k=4,seed=-1", "dragonfly:a=99999999999,p=2,h=1"}) {
     EXPECT_FALSE(TopologySpec::parse(text).has_value()) << text;
   }
 }

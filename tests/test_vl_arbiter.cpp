@@ -96,8 +96,8 @@ TEST(VlArbiterFabric, WeightedShareOnCongestedLink) {
   // Two flows on VLs 2 and 3 with weights 3:1 blast a single link; the
   // delivered byte counts should approach that ratio.
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   VlArbitrationConfig arb;
   arb.low_priority = {{2, 48}, {3, 16}};  // 3 MTU : 1 MTU
   cfg.link.arbitration = arb;
@@ -140,8 +140,8 @@ TEST(VlArbiterFabric, DefaultConfigKeepsRealtimePriority) {
   // Regression guard: with the default tables, realtime still preempts a
   // best-effort backlog (the Figure 1 mechanism).
   FabricConfig cfg;
-  cfg.mesh_width = 2;
-  cfg.mesh_height = 1;
+  cfg.topology.mesh_width = 2;
+  cfg.topology.mesh_height = 1;
   Fabric fabric(cfg);
   std::vector<ib::VirtualLane> order;
   fabric.hca(1).set_receive_callback(
