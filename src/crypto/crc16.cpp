@@ -2,11 +2,14 @@
 
 #include <array>
 
+#include "crypto/crc_fold.h"
+
 namespace ibsec::crypto {
 namespace {
 
 // 0x100B reflected (bit-reversed over 16 bits) = 0xD008.
 constexpr std::uint16_t kPolyReflected = 0xD008u;
+constexpr FoldKeys kFoldKeys = make_fold_keys(0x100Bu, 16);
 
 struct Tables {
   // t[k][b]: CRC contribution of byte b positioned k bytes before the end of
@@ -61,14 +64,22 @@ std::uint16_t update_slice8(std::uint16_t crc,
   return crc;
 }
 
+std::uint16_t advance(std::uint16_t crc, std::span<const std::uint8_t> data) {
+  return crc_update(crc, data, kFoldKeys, update_slice8);
+}
+
 }  // namespace
 
 std::uint16_t crc16_iba(std::span<const std::uint8_t> data) {
+  return static_cast<std::uint16_t>(advance(0xFFFFu, data) ^ 0xFFFFu);
+}
+
+std::uint16_t crc16_iba_portable(std::span<const std::uint8_t> data) {
   return static_cast<std::uint16_t>(update_slice8(0xFFFFu, data) ^ 0xFFFFu);
 }
 
 void Crc16Iba::update(std::span<const std::uint8_t> data) {
-  state_ = update_slice8(state_, data);
+  state_ = advance(state_, data);
 }
 
 std::uint16_t crc16_iba_reference(std::span<const std::uint8_t> data) {

@@ -1,9 +1,14 @@
 // CRC-16 with the InfiniBand VCRC polynomial.
 //
 // IBA's Variant CRC covers the whole packet from LRH to the byte before the
-// VCRC and is recomputed at every switch hop (variant fields may change).
-// The spec's generator is x^16 + x^12 + x^3 + x + 1 (0x100B), CRC-16-IBA,
-// init 0xFFFF, reflected, final XOR 0xFFFF.
+// VCRC. The sender writes it (Packet::finalize, or refresh_vcrc after
+// AuthEngine::sign rewrites the ICRC) and every switch hop and the receiving
+// CA verify it. The spec's generator is x^16 + x^12 + x^3 + x + 1 (0x100B),
+// CRC-16-IBA, init 0xFFFF, reflected, final XOR 0xFFFF.
+//
+// crc16_iba() and Crc16Iba run the fastest kernel the CPU supports, as
+// crc32() does: PCLMULQDQ folding for the bulk of long buffers, the portable
+// slice-by-8 table otherwise. Both return the same value.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +33,10 @@ class Crc16Iba {
  private:
   std::uint16_t state_ = 0xFFFFu;
 };
+
+/// The slice-by-8 kernel whatever the CPU reports: the tests' reference for
+/// the folding kernel.
+std::uint16_t crc16_iba_portable(std::span<const std::uint8_t> data);
 
 /// Bit-at-a-time reference implementation for differential tests.
 std::uint16_t crc16_iba_reference(std::span<const std::uint8_t> data);

@@ -2,10 +2,13 @@
 
 #include <array>
 
+#include "crypto/crc_fold.h"
+
 namespace ibsec::crypto {
 namespace {
 
 constexpr std::uint32_t kPolyReflected = 0xEDB88320u;
+constexpr FoldKeys kFoldKeys = make_fold_keys(0x04C11DB7u, 32);
 
 struct Tables {
   // t[k][b]: CRC contribution of byte b positioned k bytes before the end of
@@ -55,13 +58,21 @@ std::uint32_t update_slice8(std::uint32_t crc,
   return crc;
 }
 
+std::uint32_t advance(std::uint32_t crc, std::span<const std::uint8_t> data) {
+  return crc_update(crc, data, kFoldKeys, update_slice8);
+}
+
 }  // namespace
 
 void Crc32::update(std::span<const std::uint8_t> data) {
-  state_ = update_slice8(state_, data);
+  state_ = advance(state_, data);
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  return advance(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data) {
   return update_slice8(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 

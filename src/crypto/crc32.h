@@ -1,9 +1,12 @@
 // CRC-32 (IEEE 802.3 polynomial 0x04C11DB7, reflected form 0xEDB88320).
 //
 // This is the polynomial the InfiniBand Architecture uses for the Invariant
-// CRC (ICRC). Two implementations are provided behind one interface: a
-// classic byte-at-a-time table and a slice-by-8 variant used on the hot
-// simulation/benchmark path. The paper's Table 4 lists CRC-32 as the
+// CRC (ICRC). crc32() and Crc32 run the fastest kernel the CPU supports:
+// PCLMULQDQ folding (crypto/crc_fold.h) for the bulk of buffers of 64 bytes
+// or more, the portable slice-by-8 table for the rest and on hosts without
+// the instruction. Both return the same value. crc32_portable() is the
+// slice-by-8 kernel alone, and crc32_reference() a byte-at-a-time version
+// for differential tests. The paper's Table 4 lists CRC-32 as the
 // throughput baseline the MAC candidates are compared against.
 #pragma once
 
@@ -28,11 +31,14 @@ class Crc32 {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// One-shot convenience (slice-by-8).
+/// One-shot convenience.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Byte-at-a-time reference implementation, kept for differential testing
-/// against the slice-by-8 path.
+/// The slice-by-8 kernel whatever the CPU reports: the software CRC that
+/// Table 4 times, and the tests' reference for the folding kernel.
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data);
+
+/// Byte-at-a-time reference implementation, kept for differential testing.
 std::uint32_t crc32_reference(std::span<const std::uint8_t> data);
 
 }  // namespace ibsec::crypto

@@ -131,7 +131,11 @@ std::string TopologySpec::to_string() const {
                                                              : "");
       break;
   }
-  return buf;
+  std::string text = buf;
+  if (ecmp_seed != TopologySpec{}.ecmp_seed) {
+    text += ",seed=" + std::to_string(ecmp_seed);
+  }
+  return text;
 }
 
 std::string TopologySpec::describe() const {

@@ -58,7 +58,7 @@ class Packet {
   std::optional<Aeth> aeth;
   std::vector<std::uint8_t> payload;
   std::uint32_t icrc = 0;  ///< Invariant CRC *or* Authentication Tag
-  std::uint16_t vcrc = 0;  ///< Variant CRC, recomputed per hop
+  std::uint16_t vcrc = 0;  ///< Variant CRC, verified at every hop
 
   PacketMeta meta;
 
@@ -95,8 +95,8 @@ class Packet {
   /// its tag into `icrc`, and refresh_vcrc().
   void finalize();
 
-  /// Recomputes only the VCRC (what a switch does after changing variant
-  /// fields).
+  /// Recomputes only the VCRC, after the ICRC field was rewritten
+  /// (AuthEngine::sign). Switches verify the VCRC and never rewrite it.
   void refresh_vcrc() { vcrc = compute_vcrc(); }
 
   bool icrc_valid() const { return icrc == compute_icrc(); }

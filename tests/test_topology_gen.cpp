@@ -331,16 +331,22 @@ TEST(MeshBlueprint, MatchesLegacyContract) {
 
 TEST(TopologySpec, ParseRoundTrips) {
   for (const char* text :
-       {"mesh:4x4", "fattree:k=4", "fattree:k=8",
-        "dragonfly:a=4,p=2,h=1,g=5", "dragonfly:a=2,p=2,h=1,g=3,routing=valiant"}) {
+       {"mesh:4x4", "fattree:k=4", "fattree:k=8", "dragonfly:a=4,p=2,h=1,g=5",
+        "dragonfly:a=2,p=2,h=1,g=3,routing=valiant", "fattree:k=4,seed=7",
+        "dragonfly:a=2,p=2,h=1,g=3,routing=valiant,seed=12345678901"}) {
     const auto spec = TopologySpec::parse(text);
     ASSERT_TRUE(spec.has_value()) << text;
     const auto again = TopologySpec::parse(spec->to_string());
     ASSERT_TRUE(again.has_value()) << spec->to_string();
     EXPECT_EQ(again->to_string(), spec->to_string());
+    EXPECT_EQ(again->ecmp_seed, spec->ecmp_seed) << text;
   }
-  // A bare kind keeps every default: "mesh" is the paper's 4x4.
+  // A bare kind keeps every default: "mesh" is the paper's 4x4, and the
+  // default ECMP seed is not printed.
   EXPECT_EQ(TopologySpec::parse("mesh")->to_string(), "mesh:4x4");
+  EXPECT_EQ(TopologySpec::parse("fattree:k=4,seed=7")->to_string(),
+            "fattree:k=4,seed=7");
+  EXPECT_EQ(TopologySpec::parse("fattree:k=4,seed=7")->ecmp_seed, 7u);
 }
 
 TEST(TopologySpec, ParseRejectsMalformedSpecs) {
